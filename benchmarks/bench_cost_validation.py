@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
 from repro.workloads.datagen import generate_for_catalog
@@ -39,7 +39,7 @@ def measure(script: str):
         cluster = Cluster(machines=MACHINES)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        executor = PlanExecutor(cluster, validate=True)
+        executor = ColumnarExecutor(cluster, validate=True)
         executor.execute(result.plan)
         outcomes[label] = (result.cost, executor.metrics.simulated_makespan)
     est_ratio = outcomes["cse"][0] / outcomes["conventional"][0]

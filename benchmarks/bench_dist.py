@@ -16,9 +16,8 @@ Where the win comes from (and why it holds even on a single core):
   ``gc.freeze()`` the inherited heap and collect only their task-local
   allocations.
 * **serialized exchanges** — the process runtime ships compact columnar
-  wire blobs through the spill directory, while the thread scheduler
-  pays the ``to_row``/``to_backend`` conversion shims at every vertex
-  commit and cut input.
+  wire blobs through the spill directory; workers feed the decoded
+  batches straight into the executor.
 
 On multi-core CI runners the process runtime additionally gets real
 parallelism across the 4-way-partitioned stages, which the GIL denies
@@ -129,7 +128,6 @@ def test_process_runtime_is_2x_faster(capsys):
         def run(cls=scheduler_cls, label=label):
             scheduler = cls(
                 make_cluster(), workers=WORKERS, validate=False,
-                backend="columnar",
             )
             outputs[label] = scheduler.execute(plan)
             if cls is ProcessScheduler:

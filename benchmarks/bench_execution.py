@@ -22,8 +22,8 @@ import pytest
 from repro.api import optimize_script
 from repro.exec import (
     Cluster,
+    ColumnarExecutor,
     FaultInjection,
-    PlanExecutor,
     RetryPolicy,
     TaskScheduler,
 )
@@ -54,7 +54,7 @@ def execute(script, exploit_cse):
         PAPER_SCRIPTS[script], catalog, config, exploit_cse=exploit_cse
     )
     cluster = _make_cluster(files)
-    executor = PlanExecutor(cluster, validate=True)
+    executor = ColumnarExecutor(cluster, validate=True)
     executor.execute(result.plan)
     return executor.metrics, result
 
@@ -102,7 +102,7 @@ def test_bench_plan_execution(benchmark, script, cse):
         cluster = Cluster(machines=MACHINES)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        executor = PlanExecutor(cluster, validate=False)
+        executor = ColumnarExecutor(cluster, validate=False)
         return executor.execute(result.plan)
 
     outputs = benchmark(run)
@@ -113,7 +113,7 @@ def _timed_run(plan, files, workers, failure_rate=0.0):
     """One execution, returning (wall seconds, retries, outputs)."""
     cluster = _make_cluster(files)
     if workers == 0:
-        executor = PlanExecutor(cluster, validate=False)
+        executor = ColumnarExecutor(cluster, validate=False)
     else:
         executor = TaskScheduler(
             cluster,

@@ -8,7 +8,7 @@ cluster, and verifies they produce identical results.
 """
 
 from repro import Catalog, ColumnType, optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
 from repro.workloads.datagen import generate_for_catalog
@@ -56,7 +56,7 @@ def main() -> None:
         cluster = Cluster(machines=MACHINES)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        executor = PlanExecutor(cluster, validate=True)
+        executor = ColumnarExecutor(cluster, validate=True)
         outputs = executor.execute(plan)
         results[label] = {
             path: data.sorted_rows() for path, data in outputs.items()

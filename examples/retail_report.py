@@ -16,7 +16,7 @@ The closest thing to a production workflow the simulator supports:
 """
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -55,7 +55,7 @@ def main() -> None:
     cluster = Cluster(machines=MACHINES)
     for path, rows in data.items():
         cluster.load_file(path, rows)
-    executor = PlanExecutor(cluster, validate=True)
+    executor = ColumnarExecutor(cluster, validate=True)
     outputs = executor.execute(extended.plan)
 
     expected = NaiveEvaluator(data).run(compile_script(REPORT_SCRIPT, catalog))

@@ -26,14 +26,13 @@ from .cse.pipeline import (
 )
 from .exec import (
     Cluster,
+    ColumnarExecutor,
     Dataset,
     ExecutionMetrics,
     FaultInjection,
-    PlanExecutor,
     RetryPolicy,
     TaskScheduler,
 )
-from .exec.backend import get_backend
 from .frontend import compile_text
 from .obs.tracer import NULL_TRACER
 from .optimizer.cost import CostParams
@@ -205,8 +204,6 @@ class ExecutionResult:
     cluster: Cluster
     #: Worker threads/processes used (0 = sequential recursive executor).
     workers: int = 0
-    #: Execution backend that ran the operators ("row" or "columnar").
-    backend: str = "row"
     #: Scheduler runtime that ran the vertices ("thread" or "process";
     #: meaningful only when ``workers > 0``).
     runtime: str = "thread"
@@ -235,7 +232,6 @@ def execute_script(
     max_retries: int = 3,
     retry_backoff: float = 0.0,
     watchdog: Optional[float] = None,
-    backend: str = "row",
     runtime: str = "thread",
     spill_dir: Optional[str] = None,
     keep_spill: bool = False,
@@ -246,7 +242,7 @@ def execute_script(
     """Optimize a script and execute the chosen plan on the simulator.
 
     ``workers=0`` (the default) runs the sequential recursive
-    :class:`~repro.exec.PlanExecutor`; ``workers>=1`` compiles the plan
+    :class:`~repro.exec.ColumnarExecutor`; ``workers>=1`` compiles the plan
     into a stage graph and runs it on a task-parallel scheduler with
     that many workers.  ``runtime`` picks the scheduler substrate:
     ``"thread"`` (the GIL-bound :class:`~repro.exec.TaskScheduler`) or
@@ -259,10 +255,6 @@ def execute_script(
     directory (default: a temp dir, removed on success, preserved on
     failure); ``kill_plan`` injects deterministic worker SIGKILLs
     (:class:`~repro.exec.KillPlan`) to exercise crash-fault recovery.
-
-    ``backend`` selects the operator engine: ``"row"`` (dict-per-row
-    interpretation) or ``"columnar"`` (vectorized column batches).  The
-    backends are byte-identical on outputs — see ``docs/execution.md``.
 
     ``machines`` defaults to the optimizer's cost-model cluster size so
     estimated and measured parallelism agree.  ``files`` supplies input
@@ -311,7 +303,6 @@ def execute_script(
         cluster = Cluster(machines=machines)
         for path, file_rows in files.items():
             cluster.load_file(path, file_rows)
-        engine = get_backend(backend)
         if workers > 0:
             scheduler_kwargs = {}
             if runtime == "process":
@@ -332,12 +323,11 @@ def execute_script(
                                   backoff=retry_backoff),
                 watchdog=watchdog,
                 tracer=tracer,
-                backend=engine.name,
                 **scheduler_kwargs,
             )
         else:
-            executor = engine.executor_cls(cluster, validate=validate,
-                                           tracer=tracer)
+            executor = ColumnarExecutor(cluster, validate=validate,
+                                        tracer=tracer)
         with tracer.span("execute") as span:
             outputs = executor.execute(result.plan)
             span.set(outputs=len(outputs),
@@ -350,7 +340,6 @@ def execute_script(
         metrics=executor.metrics,
         cluster=cluster,
         workers=workers,
-        backend=engine.name,
         runtime=runtime,
     )
 
@@ -370,7 +359,6 @@ def execute_batch(
     exploit_cse: bool = True,
     prune: bool = True,
     verify: Optional[bool] = None,
-    backend: str = "row",
     tracer=NULL_TRACER,
     dialect: str = "auto",
 ):
@@ -394,5 +382,5 @@ def execute_batch(
         texts, labels=labels, workers=workers, machines=machines,
         rows=rows, seed=seed, files=files, validate=validate,
         exploit_cse=exploit_cse, prune=prune, verify=verify,
-        backend=backend, dialect=dialect,
+        dialect=dialect,
     )

@@ -39,7 +39,7 @@ from typing import Optional
 
 from .api import execute_script, optimize_script
 from .cse.merge import BatchMergeError
-from .exec import BACKEND_NAMES, RUNTIME_NAMES, ExecutionError, KillPlan
+from .exec import RUNTIME_NAMES, ExecutionError, KillPlan
 from .frontend import (
     FrontendError,
     compile_text,
@@ -184,13 +184,10 @@ def _emit_observability(args, tracer, metrics) -> None:
               "(chrome://tracing format)")
 
 
-def _explain_exec(backend: str, metrics) -> None:
-    """``--explain-exec``: which engine ran, and how many batches."""
-    print("--- execution backend ---")
-    print(f"backend: {backend}")
-    for name in sorted(metrics.batches_processed):
-        print(f"batches processed [{name}]: "
-              f"{metrics.batches_processed[name]}")
+def _explain_exec(metrics) -> None:
+    """``--explain-exec``: how many column batches the run processed."""
+    print("--- execution batches ---")
+    print(f"batches processed: {metrics.batches_processed}")
     if metrics.vertices:
         print("per-vertex batches:")
         for vname in sorted(metrics.vertices):
@@ -226,8 +223,7 @@ def _run_feedback(args, catalog, text, files, dialect: str = "auto") -> int:
     for round_no in range(args.feedback_runs):
         run = service.execute(
             text, workers=args.workers, machines=args.machines,
-            files=files, exploit_cse=not args.no_cse,
-            backend=args.backend, dialect=dialect,
+            files=files, exploit_cse=not args.no_cse, dialect=dialect,
         )
         processed.append(run.metrics.rows_processed())
         outcome = "hit " if run.submit.cache_hit else "miss"
@@ -341,7 +337,6 @@ def cmd_run(args) -> int:
         failure_seed=args.failure_seed
         if args.failure_seed is not None else args.seed,
         max_retries=args.max_retries,
-        backend=args.backend,
         runtime=args.runtime,
         spill_dir=args.spill_dir,
         keep_spill=args.keep_spill,
@@ -377,7 +372,7 @@ def cmd_run(args) -> int:
         print("--- vertices ---")
         print(vertex_table)
     if args.explain_exec:
-        _explain_exec(run.backend, run.metrics)
+        _explain_exec(run.metrics)
     print("--- outputs ---")
     for path in sorted(outputs):
         data = outputs[path]
@@ -508,7 +503,6 @@ def _serve_stream(args, catalog, texts) -> int:
         machines=args.machines,
         rows=args.rows,
         seed=args.seed,
-        backend=args.backend,
         failure_rate=args.inject_failures,
         failure_seed=(args.seed if args.failure_seed is None
                       else args.failure_seed),
@@ -658,8 +652,7 @@ def cmd_batch(args) -> int:
     run = service.execute_many(
         texts, labels=labels, workers=args.workers,
         machines=args.machines, rows=args.rows, seed=args.seed,
-        exploit_cse=not args.no_cse, backend=args.backend,
-        runtime=args.runtime, spill_dir=args.spill_dir,
+        exploit_cse=not args.no_cse, runtime=args.runtime, spill_dir=args.spill_dir,
         precompiled=plans,
     )
     print(f"merged {len(texts)} script(s) "
@@ -678,7 +671,7 @@ def cmd_batch(args) -> int:
     print("--- execution metrics ---")
     print(run.metrics.summary())
     if args.explain_exec:
-        _explain_exec(run.backend, run.metrics)
+        _explain_exec(run.metrics)
     print("--- per-script outputs ---")
     for label, outputs in zip(run.submit.labels, run.outputs):
         for path in sorted(outputs):
@@ -816,10 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export the trace in chrome://tracing format")
     p_run.add_argument("--top", type=int, default=5,
                        help="hotspots to list with --profile (default 5)")
-    p_run.add_argument("--backend", choices=BACKEND_NAMES, default="row",
-                       help="execution engine: row (dict-per-row) or "
-                       "columnar (vectorized column batches); outputs are "
-                       "byte-identical (default row)")
     p_run.add_argument("--feedback", action="store_true",
                        help="run the script repeatedly through a query "
                        "service with the cardinality-feedback loop "
@@ -839,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the feedback decision cards as JSON "
                        "lines (--feedback)")
     p_run.add_argument("--explain-exec", action="store_true",
-                       help="print the chosen backend and per-vertex "
+                       help="print the total and per-vertex column "
                        "batch counts")
     p_run.add_argument("--stats-json", default=None, metavar="FILE",
                        help="write the execution metrics (flat counter/"
@@ -922,9 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(--stream; default 2000)")
     p_serve.add_argument("--seed", type=int, default=0,
                          help="data seed (--stream)")
-    p_serve.add_argument("--backend", choices=BACKEND_NAMES, default="row",
-                         help="execution engine for window runs "
-                         "(--stream; default row)")
     p_serve.add_argument("--inject-failures", type=float, default=0.0,
                          metavar="RATE",
                          help="seeded per-task failure probability for "
@@ -989,9 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--seed", type=int, default=0, help="data seed")
     p_batch.add_argument("--show-rows", type=int, default=0,
                          help="print up to N rows per output")
-    p_batch.add_argument("--backend", choices=BACKEND_NAMES, default="row",
-                         help="execution engine: row or columnar "
-                         "(default row)")
     p_batch.add_argument("--runtime", choices=RUNTIME_NAMES,
                          default="thread",
                          help="scheduler substrate (default thread)")
@@ -999,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="spill root for --runtime process "
                          "(default: a temp dir)")
     p_batch.add_argument("--explain-exec", action="store_true",
-                         help="print the chosen backend and per-vertex "
+                         help="print the total and per-vertex column "
                          "batch counts")
     p_batch.set_defaults(func=cmd_batch)
 

@@ -1,13 +1,13 @@
 """Distributed execution simulator (the Cosmos/Dryad substrate)."""
 
-from .backend import BACKEND_NAMES, Backend, get_backend
 from .cluster import Cluster
 from .columnar import ColumnarDataset, ColumnarExecutor, ColumnBatch
-from .datasets import Dataset, canonical_sort_key, hash_partition_index
+from .datasets import Dataset, canonical_sort_key
 from .metrics import ExecutionMetrics, VertexStats
-from .runtime import ExecutionError, FragmentCutMixin, PlanExecutor
+from .runtime import ExecutionError
 from .scheduler import (
     FaultInjection,
+    FragmentExecutor,
     InjectedFault,
     RetryPolicy,
     TaskScheduler,
@@ -23,8 +23,6 @@ from .dist import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "Backend",
     "Cluster",
     "ColumnBatch",
     "ColumnarDataset",
@@ -33,10 +31,9 @@ __all__ = [
     "ExecutionError",
     "ExecutionMetrics",
     "FaultInjection",
-    "FragmentCutMixin",
+    "FragmentExecutor",
     "InjectedFault",
     "KillPlan",
-    "PlanExecutor",
     "ProcessScheduler",
     "RUNTIME_NAMES",
     "RetryPolicy",
@@ -49,6 +46,4 @@ __all__ = [
     "WorkerLost",
     "build_stage_graph",
     "canonical_sort_key",
-    "get_backend",
-    "hash_partition_index",
 ]

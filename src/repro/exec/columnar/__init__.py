@@ -1,16 +1,14 @@
-"""Vectorized columnar execution backend.
+"""The vectorized columnar executor.
 
 A partition is a :class:`ColumnBatch` (one value list per column)
 instead of a list of row dicts, and every physical operator runs as a
 vectorized kernel: filters compile predicates into selection-vector
 loops, projections evaluate whole columns (passing plain column
 references through by reference), aggregations fold group index lists,
-joins gather index pairs.  :class:`ColumnarExecutor` is a drop-in for
-the row backend's ``PlanExecutor`` — selected via
-``execute_script(..., backend="columnar")``, ``repro run --backend
-columnar`` or the backend registry in :mod:`repro.exec.backend` — and
-produces byte-identical outputs (the differential suite proves equal
-``canonical_bytes`` across the whole corpus).
+joins gather index pairs.  :class:`ColumnarExecutor` is the one
+physical executor — the sequential path of ``execute_script`` and the
+fragment engine of both schedulers — and the differential suites hold
+its outputs byte-identical to the ``NaiveEvaluator`` oracle.
 """
 
 from .batch import ColumnBatch, ColumnarDataset, from_row_dataset

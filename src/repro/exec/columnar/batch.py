@@ -1,20 +1,18 @@
 """Columnar partitions: one value list per column instead of row dicts.
 
-The row backend's unit of data is a partition = ``List[Row]`` with one
-dict per row; here a partition is a :class:`ColumnBatch` — a mapping of
-column name to a plain Python list of values, plus the row count.  The
-batch layout is what makes vectorized kernels possible: an operator
+The executor's unit of data is a :class:`ColumnBatch` — a mapping of
+column name to a plain Python list of values, plus the row count —
+instead of a list with one dict per row.  The batch layout is what
+makes vectorized kernels possible: an operator
 touches whole columns at C speed (``zip``, slicing, list
 comprehensions, compiled expression loops) instead of doing a dict
 lookup per row per column.
 
-:class:`ColumnarDataset` is the columnar counterpart of
-:class:`~repro.exec.datasets.Dataset` and is deliberately
-duck-compatible with it (``schema`` / ``partitions`` / ``props`` /
-``n_partitions`` / ``total_rows`` / ``validate_layout``), so the shared
-executor machinery in :mod:`repro.exec.runtime` works on either without
-branching.  Likewise ``len(batch)`` is the batch's row count, matching
-``len(partition)`` of a row-list partition for the metrics helpers.
+A :class:`ColumnarDataset` is what every operator produces and every
+scheduler vertex commits; it converts to a row
+:class:`~repro.exec.datasets.Dataset` only where an output file is
+written.  ``len(batch)`` is the batch's row count, which is what the
+metrics helpers read.
 """
 
 from __future__ import annotations
@@ -87,9 +85,9 @@ class ColumnBatch:
     def key_tuples(self, names) -> List[Tuple[Value, ...]]:
         """One tuple per row over ``names`` (built at C speed by zip).
 
-        The tuples are exactly what the row backend builds per row with
-        ``tuple(row[c] for c in names)``, so hashes, dict grouping and
-        comparisons agree between backends.
+        The tuples equal ``tuple(row[c] for c in names)`` of the row
+        form, so hashes, dict grouping and comparisons match the
+        ``NaiveEvaluator`` oracle's row-by-row view.
         """
         if not self.n_rows:
             return []
@@ -106,9 +104,9 @@ def _guarded(key: Tuple[Value, ...]) -> Tuple:
 class ColumnarDataset:
     """A partitioned columnar rowset with claimed physical properties.
 
-    Duck-compatible with :class:`~repro.exec.datasets.Dataset`;
-    ``validate_layout`` performs the same checks (and produces the same
-    violation messages) over the columnar layout.
+    ``validate_layout`` re-checks the claims against the actual data,
+    which turns optimizer property bugs into hard failures instead of
+    silently wrong costs or results.
     """
 
     schema: Schema
@@ -132,7 +130,8 @@ class ColumnarDataset:
     def validate_layout(self) -> Optional[str]:
         """Check the data matches the claimed properties.
 
-        Mirrors ``Dataset.validate_layout`` over the columnar layout.
+        Returns ``None`` if everything holds, else a human-readable
+        description of the first violation.
         """
         part = self.props.partitioning
         if part.kind is PartitionKind.SERIAL:

@@ -1,17 +1,14 @@
 """The columnar (vectorized) executor.
 
-:class:`ColumnarExecutor` subclasses the row backend's
-:class:`~repro.exec.runtime.PlanExecutor` and overrides exactly the
-operator kernels — dispatch, spool caching, property validation policy,
-metrics charging and tracing are inherited, so the two backends cannot
-drift structurally.  Every override preserves the row backend's output
-*row order* per partition, not just the multiset: stable index sorts
-reproduce ``sorted`` permutations, concatenate-then-stable-sort
-reproduces ``heapq.merge`` on sorted runs, dict insertion order
-reproduces hash-aggregation group order, and probe order reproduces
-join output order.  That is what makes the differential suite's
-byte-identical ``canonical_bytes`` guarantee hold down to float
-summation order.
+:class:`ColumnarExecutor` supplies the operator kernels of the one
+physical executor; the plan walk — dispatch, spool caching, property
+validation policy, metrics charging and tracing — is inherited from
+:class:`~repro.exec.runtime.PlanExecutor`.  Every kernel keeps a
+deterministic *row order* per partition, not just the multiset: stable
+index sorts, concatenate-then-stable-sort for merge-sorted exchanges
+(equal keys stay in source-partition order), first-occurrence order
+for hash-aggregation groups and probe order for joins.  Float sums are
+therefore reproducible run to run, across worker counts and runtimes.
 """
 
 from __future__ import annotations
@@ -49,17 +46,13 @@ def _guarded(keys: List[Tuple[Value, ...]]) -> List[Tuple]:
 
 
 class ColumnarExecutor(PlanExecutor):
-    """Vectorized drop-in for :class:`PlanExecutor`.
+    """Executes physical plans over column batches.
 
-    Same constructor, same ``execute(plan) -> outputs`` contract, same
-    metrics counters; outputs are written as row
-    :class:`~repro.exec.datasets.Dataset` objects so downstream result
-    handling (oracle comparison, ``canonical_bytes``) is
-    backend-agnostic.
+    ``execute(plan)`` returns the output files as row
+    :class:`~repro.exec.datasets.Dataset` objects, the form result
+    handling (oracle comparison, ``canonical_bytes``) works on; every
+    intermediate result stays columnar.
     """
-
-    backend_name = "columnar"
-    dataset_cls = ColumnarDataset
 
     # -- leaf and row-local operators -------------------------------------
 
@@ -70,8 +63,7 @@ class ColumnarExecutor(PlanExecutor):
         names = op.schema.names
         columns = {c: [row[c] for row in rows] for c in names}
         # Round-robin placement: partition p takes rows p, p+n, p+2n...
-        # — the slice ``[p::n]`` of each column, the same layout the
-        # row backend's ``index % n`` scatter produces.
+        # — the slice ``[p::n]`` of each column.
         return [
             ColumnBatch(
                 {c: columns[c][p::n] for c in names},
@@ -151,13 +143,11 @@ class ColumnarExecutor(PlanExecutor):
                  merge_sort: SortOrder, who: str) -> List[ColumnBatch]:
         """Scatter rows to ``destinations(batch)`` per-row indices.
 
-        Row order per destination is (source partition, source row) —
-        identical to the row backend's append order.  Merge-sorted
-        exchanges stable-sort each destination's concatenation, which
-        reproduces ``heapq.merge`` over the per-source sorted runs
-        (stable sort of concatenated sorted runs keeps equal keys in
-        run order, and within a run in original order — exactly merge
-        stability).
+        Row order per destination is (source partition, source row).
+        Merge-sorted exchanges stable-sort each destination's
+        concatenation, which merges the per-source sorted runs stably:
+        equal keys keep run order, and within a run their original
+        order.
         """
         n = self.cluster.machines
         names = data.schema.names
@@ -259,8 +249,7 @@ class ColumnarExecutor(PlanExecutor):
 
         ``runs=True`` groups consecutive equal keys (stream aggregation
         over sorted input); ``runs=False`` groups by hash with groups
-        emitted in first-occurrence order — the dict insertion order the
-        row backend's group table produces.
+        emitted in first-occurrence order.
         """
         key_cols = list(keys)
         key_list = batch.key_tuples(key_cols)
@@ -295,8 +284,7 @@ class ColumnarExecutor(PlanExecutor):
             columns[agg.alias] = aggregate_groups(agg, values, groups)
         return ColumnBatch(columns, len(groups))
 
-    def _stream_agg(self, op: PhysStreamAgg, node: PhysicalPlan,
-                    data: ColumnarDataset) -> List[ColumnBatch]:
+    def _stream_agg(self, op: PhysStreamAgg, data: ColumnarDataset) -> List[ColumnBatch]:
         self._check_sorted(data, SortOrder(op.key_order), "StreamAgg")
         if op.mode is not GroupByMode.LOCAL:
             self._check_grouping_colocation(data, op.key_order, "StreamAgg")
@@ -305,8 +293,7 @@ class ColumnarExecutor(PlanExecutor):
             for batch in data.partitions
         ]
 
-    def _hash_agg(self, op: PhysHashAgg, node: PhysicalPlan,
-                  data: ColumnarDataset) -> List[ColumnBatch]:
+    def _hash_agg(self, op: PhysHashAgg, data: ColumnarDataset) -> List[ColumnBatch]:
         if op.mode is not GroupByMode.LOCAL:
             self._check_grouping_colocation(data, op.keys, "HashAgg")
         return [
@@ -322,8 +309,8 @@ class ColumnarExecutor(PlanExecutor):
         """Materialize ``(left index, right index)`` pairs.
 
         A right index of ``None`` pads with NULLs (LEFT join).  On
-        column-name collisions the right side wins — the
-        ``{**left, **right}`` rule of the row backend.
+        column-name collisions the right side wins (``{**left,
+        **right}``).
         """
         left_idx = [pair[0] for pair in pairs]
         right_idx = [pair[1] for pair in pairs]
@@ -361,7 +348,7 @@ class ColumnarExecutor(PlanExecutor):
                    inputs: List[ColumnarDataset]) -> List[ColumnBatch]:
         left, right = inputs
         self._check_join_colocation(
-            node, left, right, op.left_keys, op.right_keys, "HashJoin"
+            left, right, op.left_keys, op.right_keys, "HashJoin"
         )
         pad = op.kind is JoinKind.LEFT
         result: List[ColumnBatch] = []
@@ -402,7 +389,7 @@ class ColumnarExecutor(PlanExecutor):
         self._check_sorted(left, SortOrder(op.left_keys), "MergeJoin left")
         self._check_sorted(right, SortOrder(op.right_keys), "MergeJoin right")
         self._check_join_colocation(
-            node, left, right, op.left_keys, op.right_keys, "MergeJoin"
+            left, right, op.left_keys, op.right_keys, "MergeJoin"
         )
         pad = op.kind is JoinKind.LEFT
         result: List[ColumnBatch] = []
@@ -445,13 +432,10 @@ class ColumnarExecutor(PlanExecutor):
 
     # -- outputs and plumbing ----------------------------------------------
 
-    def _empty_partitions(self) -> List[ColumnBatch]:
-        return [ColumnBatch.empty() for _ in range(self.cluster.machines)]
-
     def _output(self, op: PhysOutput, data: ColumnarDataset
                 ) -> List[ColumnBatch]:
         self.metrics.rows_output += data.total_rows()
-        # Result files are always row datasets, whichever backend ran.
+        # Result files are row datasets; intermediate results never are.
         self.cluster.write_output(op.path, data.to_row_dataset())
         return self._empty_partitions()
 
@@ -514,9 +498,9 @@ class ColumnarExecutor(PlanExecutor):
                         f"{prev} and {idx}"
                     )
 
-    def _check_join_colocation(self, node: PhysicalPlan,
-                               left: ColumnarDataset, right: ColumnarDataset,
-                               left_keys, right_keys, name: str) -> None:
+    def _check_join_colocation(self, left: ColumnarDataset,
+                               right: ColumnarDataset, left_keys,
+                               right_keys, name: str) -> None:
         if not self.validate:
             return
         if left.n_partitions != right.n_partitions:

@@ -1,9 +1,10 @@
-"""Compiled vectorized kernels for the columnar backend.
+"""Compiled vectorized kernels for the columnar executor.
 
 Scalar expressions are compiled once per distinct ``Expr`` into a tight
 Python loop over column lists: every sub-expression becomes one
 assignment statement and AND/OR become nested ``if`` blocks.  This
-preserves the *exact* row-backend semantics —
+preserves the *exact* semantics of ``Expr.evaluate`` (which the
+``NaiveEvaluator`` oracle interprets row by row) —
 
 * two-valued NULL comparisons (``NULL = x`` is ``False``),
 * NULL-propagating arithmetic (``NULL + x`` is ``None``),
@@ -207,8 +208,8 @@ def aggregate_groups(agg: Aggregate, values: Optional[List[Value]],
 
     ``values`` is the aggregate argument evaluated for *every* row of
     the batch (``None`` for ``COUNT(*)``).  Folds run left-to-right in
-    row order within each group, matching the row backend's
-    ``accumulate`` chain exactly — float sums depend on it.
+    row order within each group, matching the ``Aggregate.accumulate``
+    chain exactly — float sums depend on it.
     """
     func = agg.func
     if func is AggFunc.COUNT:

@@ -1,33 +1,23 @@
-"""Partitioned datasets — the simulator's unit of data.
+"""Partitioned row datasets — the simulator's result files.
 
 A :class:`Dataset` models a distributed rowset: a list of partitions
-(one per machine slot), each a list of row dicts, plus the *claimed*
-physical properties.  ``validate_layout`` re-checks the claims against
-the actual data, which turns optimizer property bugs into hard test
-failures instead of silently wrong costs.
+(one per machine slot), each a list of row dicts, plus the physical
+properties the producing operator claimed.  The executor works on
+columnar batches (:mod:`repro.exec.columnar`) and converts to this row
+form only where it writes an output file; results are compared through
+:meth:`Dataset.canonical_bytes` and :meth:`Dataset.sorted_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..plan.columns import Schema
 from ..plan.expressions import Row, Value
-from ..plan.properties import PartitionKind, PhysicalProps
+from ..plan.properties import PhysicalProps
 
 Partition = List[Row]
-
-
-def hash_partition_index(row: Row, columns: Iterable[str], n: int) -> int:
-    """Deterministic partition index of ``row`` for hash partitioning."""
-    key = tuple(row[c] for c in sorted(columns))
-    return hash(key) % n
-
-
-def guarded_key(values) -> Tuple:
-    """Comparison-safe key: NULLs sort after every concrete value."""
-    return tuple((v is None, v) for v in values)
 
 
 def canonical_sort_key(values) -> Tuple:
@@ -37,7 +27,7 @@ def canonical_sort_key(values) -> Tuple:
     every concrete value, numbers (rank 0) before strings (rank 1)
     before anything else (rank 2, compared by ``repr``).  Within a rank
     values compare natively, so the order of homogeneous columns — the
-    only kind the executors produce — is unchanged from the plain
+    only kind the executor produces — is unchanged from the plain
     ``(v is None, v)`` key; mixed int/str positions, which used to raise
     ``TypeError``, now get a deterministic order instead.
     """
@@ -91,58 +81,3 @@ class Dataset:
         header = ",".join(self.schema.names)
         body = "\n".join(repr(row) for row in self.sorted_rows())
         return f"{header}\n{body}".encode("utf-8")
-
-    def validate_layout(self) -> Optional[str]:
-        """Check the data matches the claimed properties.
-
-        Returns ``None`` if everything holds, else a human-readable
-        description of the first violation.
-        """
-        part = self.props.partitioning
-        if part.kind is PartitionKind.SERIAL:
-            occupied = [i for i, p in enumerate(self.partitions) if p]
-            if len(occupied) > 1:
-                return f"serial claim violated: partitions {occupied} non-empty"
-        elif part.kind is PartitionKind.HASH:
-            seen: Dict[Tuple[Value, ...], int] = {}
-            for idx, partition in enumerate(self.partitions):
-                for row in partition:
-                    key = tuple(row[c] for c in sorted(part.columns))
-                    prev = seen.setdefault(key, idx)
-                    if prev != idx:
-                        return (
-                            f"hash({','.join(sorted(part.columns))}) claim "
-                            f"violated: key {key} in partitions {prev} and {idx}"
-                        )
-        elif part.kind is PartitionKind.RANGE:
-            # Key ranges must be disjoint and ascending with the
-            # partition index (which also implies co-location).
-            previous_max = None
-            for idx, partition in enumerate(self.partitions):
-                if not partition:
-                    continue
-                keys = [
-                    guarded_key(row[c] for c in part.order)
-                    for row in partition
-                ]
-                low, high = min(keys), max(keys)
-                if previous_max is not None and low <= previous_max:
-                    return (
-                        f"range({','.join(part.order)}) claim violated: "
-                        f"partition {idx} starts at {low} but an earlier "
-                        f"partition reaches {previous_max}"
-                    )
-                previous_max = high
-        order = self.props.sort_order
-        if order.is_sorted:
-            for idx, partition in enumerate(self.partitions):
-                previous = None
-                for row in partition:
-                    key = guarded_key(row[c] for c in order.columns)
-                    if previous is not None and key < previous:
-                        return (
-                            f"sort {order} claim violated in partition {idx}: "
-                            f"{key} after {previous}"
-                        )
-                    previous = key
-        return None

@@ -126,13 +126,12 @@ class _PoolWorker:
 class _WorkerPool:
     """Forked worker processes plus their duplex control pipes."""
 
-    def __init__(self, ctx, size, graph, cluster, backend, validate,
-                 faults, retry, spill):
+    def __init__(self, ctx, size, graph, cluster, validate, faults,
+                 retry, spill):
         self.ctx = ctx
         self.size = size
         self.graph = graph
         self.cluster = cluster
-        self.backend = backend
         self.validate = validate
         self.faults = faults
         self.retry = retry
@@ -151,7 +150,7 @@ class _WorkerPool:
         process = self.ctx.Process(
             target=worker_main,
             args=(child_conn, worker_id, self.graph, self.cluster.files,
-                  self.cluster.machines, self.backend, self.validate,
+                  self.cluster.machines, self.validate,
                   self.faults, self.retry, self.spill),
             name=f"repro-dist-worker-{worker_id}",
             daemon=True,
@@ -269,12 +268,12 @@ class ProcessScheduler(TaskScheduler):
 
     def __init__(self, cluster, workers: int = 4, validate: bool = True,
                  faults=None, retry=None, watchdog: Optional[float] = None,
-                 tracer=NULL_TRACER, backend: str = "row",
+                 tracer=NULL_TRACER,
                  spill_dir: Optional[str] = None, keep_spill: bool = False,
                  kill_plan: Optional[KillPlan] = None):
         super().__init__(cluster, workers=workers, validate=validate,
                          faults=faults, retry=retry, watchdog=watchdog,
-                         tracer=tracer, backend=backend)
+                         tracer=tracer)
         self.spill_dir = spill_dir
         self.keep_spill = keep_spill
         self.kill_plan = kill_plan
@@ -307,8 +306,7 @@ class ProcessScheduler(TaskScheduler):
         self.spill = spill
         state = _RunState(graph)
         pool = _WorkerPool(ctx, self.workers, graph, self.cluster,
-                           self.backend.name, self.validate, self.faults,
-                           self.retry, spill)
+                           self.validate, self.faults, self.retry, spill)
         try:
             pool.start()
             for vertex in graph.vertices:
@@ -403,7 +401,7 @@ class ProcessScheduler(TaskScheduler):
             scratch.note_operator("Spool")
             scratch.spool_reads += 1
             scratch.charge_spool(total)
-            scratch.note_batches(self.backend.name, dep_result.n_partitions)
+            scratch.note_batches(dep_result.n_partitions)
         scratch.rows_spooled += total
         scratch.charge_spool(total)
         ended = time.perf_counter()

@@ -16,11 +16,9 @@ Two payload shapes exist:
 * a dataset — ``(schema, props, [batch payload, ...])`` — what workers
   write per spilled partition and what output blobs carry.
 
-Encoding accepts either backend's dataset type (row partitions are
-transposed on the way in); decoding always yields columnar objects, and
-the selected :class:`~repro.exec.backend.Backend`'s ``from_wire`` hook
-converts to the engine's native layout — the columnar backend consumes
-wire data with no conversion at all.
+Encoding accepts row or columnar datasets (row partitions — output
+files — are transposed on the way in); decoding always yields columnar
+objects, which the executor consumes with no conversion at all.
 
 The pickle protocol is pinned, not "highest available", so spill files
 and worker replies stay byte-compatible between the Python minor
@@ -93,7 +91,7 @@ def encode_dataset(dataset) -> bytes:
     """Serialize a row or columnar dataset to wire bytes.
 
     Row partitions are transposed to columnar layout on the way in, so
-    the on-disk format is identical whichever backend produced the data.
+    the on-disk format is identical whichever layout the data had.
     """
     names = dataset.schema.names
     parts = [_batch_payload(p, names) for p in dataset.partitions]

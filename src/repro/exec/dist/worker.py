@@ -3,7 +3,7 @@
 One :func:`worker_main` loop runs per worker process.  Workers are
 **forked** from the supervisor *after* the stage graph is built, so the
 graph (with its ``id()``-keyed cut points — see
-:class:`~repro.exec.runtime.FragmentCutMixin`), the cluster's input
+:class:`~repro.exec.scheduler.FragmentExecutor`), the cluster's input
 files and the fault plan all arrive by copy-on-write inheritance.
 Nothing plan-shaped is ever pickled: pickling would re-create the plan
 nodes under new ``id()``s and silently detach every cut point.
@@ -11,8 +11,7 @@ nodes under new ``id()``s and silently detach every cut point.
 A worker's data plane is files + pipes:
 
 * task *inputs* are read from the run's spill directory as columnar
-  wire blobs and handed to the backend through its ``from_wire`` shim
-  (for the columnar backend: zero conversion);
+  wire blobs and fed to the executor as decoded, with no conversion;
 * task *outputs* are written back to the spill directory, one wire blob
   per partition, via atomic rename;
 * only control metadata — file paths, row counts, the task's metrics
@@ -20,7 +19,7 @@ A worker's data plane is files + pipes:
   pipe to the supervisor.
 
 Operator semantics are byte-identical to the thread scheduler: the same
-``backend.fragment_cls`` executes the same fragment against the same
+``FragmentExecutor`` executes the same fragment against the same
 partition data, and the same seeded fault coin is tossed at the same
 point, so the differential suite holds thread and process runs equal on
 outputs *and* on every deterministic counter.
@@ -33,16 +32,15 @@ import os
 import signal
 import time
 
-from ..backend import get_backend
 from ..cluster import Cluster
 from ..columnar.batch import ColumnarDataset
 from ..metrics import ExecutionMetrics
-from ..scheduler import InjectedFault
+from ..scheduler import FragmentExecutor, InjectedFault
 from .wire import decode_dataset, encode_dataset
 
 
-def worker_main(conn, worker_id, graph, files, machines, backend_name,
-                validate, faults, retry, spill) -> None:
+def worker_main(conn, worker_id, graph, files, machines, validate,
+                faults, retry, spill) -> None:
     """Recv/execute/reply loop of one forked worker process.
 
     Exits cleanly on a ``stop`` message or when the supervisor's end of
@@ -55,7 +53,6 @@ def worker_main(conn, worker_id, graph, files, machines, backend_name,
     # from rescanning — and un-sharing, via refcount writes — the big
     # copy-on-write heap on every collection.
     gc.freeze()
-    backend = get_backend(backend_name)
     while True:
         try:
             msg = conn.recv()
@@ -69,8 +66,8 @@ def worker_main(conn, worker_id, graph, files, machines, backend_name,
             # the loss from the pipe alone.
             os.kill(os.getpid(), signal.SIGKILL)
         try:
-            reply = _run_task(msg, graph, files, machines, backend,
-                              validate, faults, retry, spill)
+            reply = _run_task(msg, graph, files, machines, validate,
+                              faults, retry, spill)
         except BaseException as error:  # noqa: BLE001 - shipped upstream
             reply = {
                 "op": "error",
@@ -86,8 +83,8 @@ def worker_main(conn, worker_id, graph, files, machines, backend_name,
             return
 
 
-def _load_cut(spill, backend, relpaths, part):
-    """Read one dependency's spilled partitions into a backend dataset.
+def _load_cut(spill, relpaths, part):
+    """Read one dependency's spilled partitions into one dataset.
 
     ``part`` selects a single partition for sliced tasks (the file
     granularity is per partition precisely so a slice reads only its
@@ -96,16 +93,15 @@ def _load_cut(spill, backend, relpaths, part):
     wanted = [relpaths[part]] if part is not None else relpaths
     decoded = [decode_dataset(spill.read(p)) for p in wanted]
     first = decoded[0]
-    assembled = ColumnarDataset(
+    return ColumnarDataset(
         first.schema,
         [batch for d in decoded for batch in d.partitions],
         first.props,
     )
-    return backend.from_wire(assembled)
 
 
-def _run_task(msg, graph, files, machines, backend, validate, faults,
-              retry, spill):
+def _run_task(msg, graph, files, machines, validate, faults, retry,
+              spill):
     vertex = graph.vertices[msg["vid"]]
     part = msg["part"]
     attempt = msg["attempt"]
@@ -119,7 +115,7 @@ def _run_task(msg, graph, files, machines, backend, validate, faults,
             f"(part={part}, attempt={attempt})"
         )
     cuts = {
-        node_id: _load_cut(spill, backend, msg["cuts"][dep_vid], part)
+        node_id: _load_cut(spill, msg["cuts"][dep_vid], part)
         for node_id, dep_vid in vertex.cut_nodes.items()
     }
     scratch = ExecutionMetrics()
@@ -127,14 +123,14 @@ def _run_task(msg, graph, files, machines, backend, validate, faults,
     # collects OUTPUT writes privately, so only the supervisor-side
     # winner of a task commits them (exactly-once under re-dispatch).
     cluster = Cluster(machines=machines, files=files)
-    executor = backend.fragment_cls(
+    executor = FragmentExecutor(
         cluster, validate, scratch, cuts,
         slice_mode=part is not None,
     )
     result = executor._run(vertex.root)
     parts, rows = [], []
     for p in range(result.n_partitions):
-        piece = type(result)(
+        piece = ColumnarDataset(
             result.schema, [result.partitions[p]], result.props
         )
         relpath = spill.task_file(msg["vid"], msg["slot"], p, attempt)

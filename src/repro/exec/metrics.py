@@ -95,11 +95,9 @@ class ExecutionMetrics:
     #: Rows dropped by Filter operators (rows in minus rows surviving).
     rows_filtered: int = 0
     operator_invocations: Dict[str, int] = field(default_factory=dict)
-    #: Partition batches materialized at operator boundaries, keyed by
-    #: the backend that processed them ("row" row-lists, "columnar"
-    #: column batches).  Both backends count at the same point
-    #: (``_finish``), so the totals are directly comparable.
-    batches_processed: Dict[str, int] = field(default_factory=dict)
+    #: Column batches materialized at operator boundaries (one per
+    #: partition per operator result, counted in ``_finish``).
+    batches_processed: int = 0
     max_partition_rows: int = 0
     #: Simulated wall-clock model: per operator execution, the slowest
     #: partition's work (rows × a per-operator weight) plus the full
@@ -144,14 +142,9 @@ class ExecutionMetrics:
     def note_operator(self, name: str) -> None:
         self.operator_invocations[name] = self.operator_invocations.get(name, 0) + 1
 
-    def note_batches(self, backend: str, count: int) -> None:
-        """Count ``count`` partition batches processed by ``backend``."""
-        self.batches_processed[backend] = (
-            self.batches_processed.get(backend, 0) + count
-        )
-
-    def total_batches(self) -> int:
-        return sum(self.batches_processed.values())
+    def note_batches(self, count: int) -> None:
+        """Count ``count`` column batches materialized."""
+        self.batches_processed += count
 
     def rows_processed(self) -> int:
         """Total rows flowing through the run's materialization points.
@@ -197,12 +190,11 @@ class ExecutionMetrics:
         self.simulated_makespan += other.simulated_makespan
         self.task_retries += other.task_retries
         self.worker_deaths += other.worker_deaths
+        self.batches_processed += other.batches_processed
         for name, count in other.operator_invocations.items():
             self.operator_invocations[name] = (
                 self.operator_invocations.get(name, 0) + count
             )
-        for backend, count in other.batches_processed.items():
-            self.note_batches(backend, count)
         if other.max_partition_rows > self.max_partition_rows:
             self.max_partition_rows = other.max_partition_rows
         self.vertices.update(other.vertices)
@@ -233,11 +225,7 @@ class ExecutionMetrics:
         )
         lines.append(f"operators:  {ops}")
         if self.batches_processed:
-            batches = ", ".join(
-                f"{backend}={count:,}"
-                for backend, count in sorted(self.batches_processed.items())
-            )
-            lines.append(f"batches:    {batches}")
+            lines.append(f"batches:    {self.batches_processed:>12,}")
         if self.vertices:
             lines.append(
                 f"vertices:   {len(self.vertices):>12,} "
@@ -290,13 +278,13 @@ class ExecutionMetrics:
         "rows_extracted", "rows_shuffled", "rows_broadcast", "rows_spooled",
         "spool_reads", "rows_output", "rows_sorted", "rows_filtered",
         "max_partition_rows", "simulated_makespan", "task_retries",
-        "worker_deaths",
+        "worker_deaths", "batches_processed",
     )
 
     def to_labels(self) -> Dict[str, float]:
         """Stable flat ``name -> value`` export of every deterministic
         counter: the scalar fields in declaration order, then
-        ``batches_processed.<backend>`` and ``operator.<name>`` sorted.
+        ``operator.<name>`` sorted.
 
         This is the one canonical dict both :meth:`publish` (and hence
         the metrics collector) and the CLI's ``--stats-json`` render
@@ -306,9 +294,6 @@ class ExecutionMetrics:
         out: Dict[str, float] = {
             name: getattr(self, name) for name in self._COUNTER_FIELDS
         }
-        for backend in sorted(self.batches_processed):
-            out[f"batches_processed.{backend}"] = \
-                self.batches_processed[backend]
         for name in sorted(self.operator_invocations):
             out[f"operator.{name}"] = self.operator_invocations[name]
         return out

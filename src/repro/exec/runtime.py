@@ -1,8 +1,8 @@
 """Physical plan execution on the simulated cluster.
 
-The executor walks a physical plan DAG and produces partitioned
-:class:`~repro.exec.datasets.Dataset` results.  Two semantics mirror the
-cost model's tree/DAG split:
+:class:`PlanExecutor` walks a physical plan DAG and produces partitioned
+:class:`~repro.exec.columnar.batch.ColumnarDataset` results.  Two
+semantics mirror the cost model's tree/DAG split:
 
 * **only SPOOL nodes are materialized** — a spool's input is executed
   once and its dataset cached, so every consumer re-reads the same
@@ -10,6 +10,11 @@ cost model's tree/DAG split:
 * every other multi-referenced node is **re-executed per reference**,
   which is exactly the duplicated-pipeline semantics of a conventional
   plan (Figure 8(a)).
+
+This module holds the walk itself — dispatch, spool caching, metrics
+and tracing; the vectorized operator kernels live in
+:class:`~repro.exec.columnar.executor.ColumnarExecutor`, the one
+concrete executor.
 
 With ``validate=True`` (the default) the executor re-checks, at every
 operator boundary, that the data really has the physical properties the
@@ -21,13 +26,9 @@ producing silently wrong costs or results.
 
 from __future__ import annotations
 
-import bisect
-import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..obs.tracer import NULL_TRACER
-from ..plan.expressions import Row
-from ..plan.logical import GroupByMode, JoinKind
 from ..plan.physical import (
     PhysBroadcastJoin,
     PhysExtract,
@@ -49,9 +50,9 @@ from ..plan.physical import (
     PhysTopN,
     PhysUnionAll,
 )
-from ..plan.properties import SortOrder
 from .cluster import Cluster
-from .datasets import Dataset, Partition, guarded_key, hash_partition_index
+from .columnar.batch import ColumnarDataset, ColumnBatch
+from .datasets import Dataset
 from .metrics import ExecutionMetrics
 
 
@@ -59,31 +60,21 @@ class ExecutionError(RuntimeError):
     """A runtime property violation or malformed plan."""
 
 
-def _sort_key(columns) -> Callable[[Row], Tuple]:
-    def key(row: Row) -> Tuple:
-        return tuple((row[c] is None, row[c]) for c in columns)
-
-    return key
-
-
 class PlanExecutor:
-    """Executes physical plans against one cluster."""
+    """Walks physical plans against one cluster.
 
-    #: Backend identity — keys the ``batches_processed`` metric and the
-    #: ``repro run --explain-exec`` report.  The columnar executor
-    #: (``repro.exec.columnar``) overrides both class attributes and the
-    #: operator kernels; everything else (dispatch, spool caching,
-    #: metrics, tracing) is shared so the backends cannot drift apart.
-    backend_name = "row"
-    #: Dataset class materialized at operator boundaries.
-    dataset_cls = Dataset
+    Subclasses supply one kernel method per physical operator
+    (``_extract``, ``_filter``, ... ``_union``);
+    :class:`~repro.exec.columnar.executor.ColumnarExecutor` is the one
+    that does.
+    """
 
     def __init__(self, cluster: Cluster, validate: bool = True,
                  tracer=NULL_TRACER):
         self.cluster = cluster
         self.validate = validate
         self.metrics = ExecutionMetrics()
-        self._spool_cache: Dict[int, Dataset] = {}
+        self._spool_cache: Dict[int, ColumnarDataset] = {}
         #: Memo group ids whose measured output rows were already
         #: recorded.  A conventional plan re-executes multi-referenced
         #: fragments per reference with identical output, so the first
@@ -103,7 +94,7 @@ class PlanExecutor:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _run(self, node: PhysicalPlan) -> Dataset:
+    def _run(self, node: PhysicalPlan) -> ColumnarDataset:
         op = node.op
         self.metrics.note_operator(op.name)
 
@@ -129,7 +120,7 @@ class PlanExecutor:
         return self._finish(node, self._apply_op(node, inputs))
 
     def _apply_op(self, node: PhysicalPlan,
-                  inputs: List[Dataset]) -> List[Partition]:
+                  inputs: List[ColumnarDataset]) -> List[ColumnBatch]:
         """Evaluate one non-spool operator over already-computed inputs.
 
         This is the single point through which both the recursive
@@ -141,47 +132,45 @@ class PlanExecutor:
             self.metrics.charge_compute(dataset.partitions)
 
         if isinstance(op, PhysExtract):
-            result = self._extract(op)
-        elif isinstance(op, PhysFilter):
-            result = self._filter(op, inputs[0])
-        elif isinstance(op, PhysProject):
-            result = self._project(op, inputs[0])
-        elif isinstance(op, PhysSort):
-            result = self._sort(op, inputs[0])
-        elif isinstance(op, PhysRepartition):
-            result = self._repartition(op, inputs[0])
-        elif isinstance(op, PhysRangeRepartition):
-            result = self._range_repartition(op, inputs[0])
-        elif isinstance(op, PhysMerge):
-            result = self._merge(op, inputs[0])
-        elif isinstance(op, PhysStreamAgg):
-            result = self._stream_agg(op, node, inputs[0])
-        elif isinstance(op, PhysHashAgg):
-            result = self._hash_agg(op, node, inputs[0])
-        elif isinstance(op, PhysMergeJoin):
-            result = self._merge_join(op, node, inputs)
-        elif isinstance(op, PhysHashJoin):
-            result = self._hash_join(op, node, inputs)
-        elif isinstance(op, PhysBroadcastJoin):
-            result = self._broadcast_join(op, node, inputs)
-        elif isinstance(op, PhysTopN):
-            result = self._top_n(op, inputs[0])
-        elif isinstance(op, PhysOutput):
-            result = self._output(op, inputs[0])
-        elif isinstance(op, (PhysSequence, PhysUnionAll)):
-            if isinstance(op, PhysUnionAll):
-                result = self._union(inputs)
-            else:
-                result = self._empty_partitions()
-        else:  # pragma: no cover - exhaustive over the physical algebra
-            raise ExecutionError(f"no executor for {type(op).__name__}")
+            return self._extract(op)
+        if isinstance(op, PhysFilter):
+            return self._filter(op, inputs[0])
+        if isinstance(op, PhysProject):
+            return self._project(op, inputs[0])
+        if isinstance(op, PhysSort):
+            return self._sort(op, inputs[0])
+        if isinstance(op, PhysRepartition):
+            return self._repartition(op, inputs[0])
+        if isinstance(op, PhysRangeRepartition):
+            return self._range_repartition(op, inputs[0])
+        if isinstance(op, PhysMerge):
+            return self._merge(op, inputs[0])
+        if isinstance(op, PhysStreamAgg):
+            return self._stream_agg(op, inputs[0])
+        if isinstance(op, PhysHashAgg):
+            return self._hash_agg(op, inputs[0])
+        if isinstance(op, PhysMergeJoin):
+            return self._merge_join(op, node, inputs)
+        if isinstance(op, PhysHashJoin):
+            return self._hash_join(op, node, inputs)
+        if isinstance(op, PhysBroadcastJoin):
+            return self._broadcast_join(op, node, inputs)
+        if isinstance(op, PhysTopN):
+            return self._top_n(op, inputs[0])
+        if isinstance(op, PhysOutput):
+            return self._output(op, inputs[0])
+        if isinstance(op, PhysUnionAll):
+            return self._union(inputs)
+        if isinstance(op, PhysSequence):
+            return self._empty_partitions()
+        raise ExecutionError(  # pragma: no cover - exhaustive
+            f"no executor for {type(op).__name__}")
 
-        return result
-
-    def _finish(self, node: PhysicalPlan, partitions: List[Partition]) -> Dataset:
-        dataset = self.dataset_cls(node.schema, partitions, node.props)
+    def _finish(self, node: PhysicalPlan,
+                partitions: List[ColumnBatch]) -> ColumnarDataset:
+        dataset = ColumnarDataset(node.schema, partitions, node.props)
         self.metrics.note_partition_sizes(partitions)
-        self.metrics.note_batches(self.backend_name, len(partitions))
+        self.metrics.note_batches(len(partitions))
         gid = node.group_id
         if (gid is not None and gid not in self._fragment_gids
                 and not isinstance(node.op, (PhysOutput, PhysSequence))):
@@ -199,445 +188,6 @@ class PlanExecutor:
                 )
         return dataset
 
-    # -- operators ------------------------------------------------------------
-
-    def _extract(self, op: PhysExtract) -> List[Partition]:
-        rows = self.cluster.read_file(op.path)
-        self.metrics.rows_extracted += len(rows)
-        n = self.cluster.machines
-        partitions: List[Partition] = [[] for _ in range(n)]
-        names = op.schema.names
-        for index, row in enumerate(rows):
-            projected = {c: row[c] for c in names}
-            partitions[index % n].append(projected)
-        return partitions
-
-    def _empty_partitions(self) -> List[Partition]:
+    def _empty_partitions(self) -> List[ColumnBatch]:
         """One empty partition per machine (Output/Sequence results)."""
-        return [[] for _ in range(self.cluster.machines)]
-
-    def _filter(self, op: PhysFilter, data: Dataset) -> List[Partition]:
-        result: List[Partition] = []
-        predicate = op.predicate
-        for part in data.partitions:
-            kept = [row for row in part if predicate.evaluate(row)]
-            self.metrics.rows_filtered += len(part) - len(kept)
-            result.append(kept)
-        return result
-
-    def _project(self, op: PhysProject, data: Dataset) -> List[Partition]:
-        return [
-            [
-                {ne.alias: ne.expr.evaluate(row) for ne in op.exprs}
-                for row in part
-            ]
-            for part in data.partitions
-        ]
-
-    def _sort(self, op: PhysSort, data: Dataset) -> List[Partition]:
-        key = _sort_key(op.order.columns)
-        self.metrics.rows_sorted += data.total_rows()
-        return [sorted(part, key=key) for part in data.partitions]
-
-    def _repartition(self, op: PhysRepartition, data: Dataset) -> List[Partition]:
-        n = self.cluster.machines
-        self.metrics.rows_shuffled += data.total_rows()
-        self.metrics.charge_exchange(data.total_rows())
-        if op.merge_sort.is_sorted:
-            self._check_sorted(data, op.merge_sort, "Repartition(merge)")
-            streams: List[List[Partition]] = [[] for _ in range(n)]
-            key = _sort_key(op.merge_sort.columns)
-            for part in data.partitions:
-                buckets: List[Partition] = [[] for _ in range(n)]
-                for row in part:
-                    buckets[hash_partition_index(row, op.columns, n)].append(row)
-                for idx in range(n):
-                    streams[idx].append(buckets[idx])
-            return [list(heapq.merge(*runs, key=key)) for runs in streams]
-        partitions: List[Partition] = [[] for _ in range(n)]
-        for part in data.partitions:
-            for row in part:
-                partitions[hash_partition_index(row, op.columns, n)].append(row)
-        return partitions
-
-    def _range_repartition(self, op: PhysRangeRepartition,
-                           data: Dataset) -> List[Partition]:
-        """Scatter rows by range boundaries computed from the data.
-
-        Boundaries are exact quantiles over the *distinct* key values
-        (a production system samples), so equal keys are never split.
-        """
-        n = self.cluster.machines
-        self.metrics.rows_shuffled += data.total_rows()
-        self.metrics.charge_exchange(data.total_rows())
-        keys = sorted(
-            {
-                guarded_key(row[c] for c in op.order)
-                for part in data.partitions
-                for row in part
-            }
-        )
-        # n-1 boundaries at the distinct-value quantiles; partition i
-        # receives keys in [boundary[i-1], boundary[i]).
-        boundaries = [
-            keys[(len(keys) * (i + 1)) // n] for i in range(n - 1)
-        ] if keys else []
-
-        def destination(row: Row) -> int:
-            key = guarded_key(row[c] for c in op.order)
-            return bisect.bisect_right(boundaries, key)
-
-        if op.merge_sort.is_sorted:
-            self._check_sorted(data, op.merge_sort, "RangeRepartition(merge)")
-            key_fn = _sort_key(op.merge_sort.columns)
-            streams: List[List[Partition]] = [[] for _ in range(n)]
-            for part in data.partitions:
-                buckets: List[Partition] = [[] for _ in range(n)]
-                for row in part:
-                    buckets[destination(row)].append(row)
-                for idx in range(n):
-                    streams[idx].append(buckets[idx])
-            return [list(heapq.merge(*runs, key=key_fn)) for runs in streams]
-        partitions: List[Partition] = [[] for _ in range(n)]
-        for part in data.partitions:
-            for row in part:
-                partitions[destination(row)].append(row)
-        return partitions
-
-    def _merge(self, op: PhysMerge, data: Dataset) -> List[Partition]:
-        n = self.cluster.machines
-        self.metrics.rows_shuffled += data.total_rows()
-        self.metrics.charge_exchange(data.total_rows())
-        if op.merge_sort.is_sorted:
-            self._check_sorted(data, op.merge_sort, "Merge")
-            key = _sort_key(op.merge_sort.columns)
-            merged = list(heapq.merge(*data.partitions, key=key))
-        else:
-            merged = data.all_rows()
-        result: List[Partition] = [[] for _ in range(n)]
-        result[0] = merged
-        return result
-
-    # -- aggregation -------------------------------------------------------
-
-    def _finalize_group(
-        self, keys: Tuple[str, ...], key_values, aggregates, states
-    ) -> Row:
-        row: Row = dict(zip(keys, key_values))
-        for agg, state in zip(aggregates, states):
-            row[agg.alias] = agg.finalize(state)
-        return row
-
-    def _stream_agg(self, op: PhysStreamAgg, node: PhysicalPlan,
-                    data: Dataset) -> List[Partition]:
-        self._check_sorted(data, SortOrder(op.key_order), "StreamAgg")
-        if op.mode is not GroupByMode.LOCAL:
-            self._check_grouping_colocation(data, op.key_order, "StreamAgg")
-        result: List[Partition] = []
-        for part in data.partitions:
-            out: Partition = []
-            current_key = _UNSET
-            states: List = []
-            for row in part:
-                key = tuple(row[c] for c in op.key_order)
-                if key != current_key:
-                    if current_key is not _UNSET:
-                        out.append(
-                            self._finalize_group(
-                                op.key_order, current_key, op.aggregates, states
-                            )
-                        )
-                    current_key = key
-                    states = [agg.init_state() for agg in op.aggregates]
-                states = [
-                    agg.accumulate(state, row)
-                    for agg, state in zip(op.aggregates, states)
-                ]
-            if current_key is not _UNSET:
-                out.append(
-                    self._finalize_group(
-                        op.key_order, current_key, op.aggregates, states
-                    )
-                )
-            elif not op.key_order and op.mode is not GroupByMode.LOCAL and part:
-                pass  # unreachable: empty key with rows sets current_key
-            result.append(out)
-        return result
-
-    def _hash_agg(self, op: PhysHashAgg, node: PhysicalPlan,
-                  data: Dataset) -> List[Partition]:
-        if op.mode is not GroupByMode.LOCAL:
-            self._check_grouping_colocation(data, op.keys, "HashAgg")
-        result: List[Partition] = []
-        for part in data.partitions:
-            groups: Dict[Tuple, List] = {}
-            for row in part:
-                key = tuple(row[c] for c in op.keys)
-                states = groups.get(key)
-                if states is None:
-                    states = [agg.init_state() for agg in op.aggregates]
-                groups[key] = [
-                    agg.accumulate(state, row)
-                    for agg, state in zip(op.aggregates, states)
-                ]
-            out = [
-                self._finalize_group(op.keys, key, op.aggregates, states)
-                for key, states in groups.items()
-            ]
-            result.append(out)
-        return result
-
-    # -- joins ---------------------------------------------------------------
-
-    def _check_join_colocation(self, node: PhysicalPlan, left: Dataset,
-                               right: Dataset, left_keys, right_keys,
-                               name: str) -> None:
-        if not self.validate:
-            return
-        if left.n_partitions != right.n_partitions:
-            raise ExecutionError(f"{name}: partition counts differ")
-        # Every key value must be co-located: recompute each side's
-        # placement and compare.
-        placement: Dict[Tuple, int] = {}
-        for idx, part in enumerate(left.partitions):
-            for row in part:
-                key = tuple(row[c] for c in left_keys)
-                prev = placement.setdefault(key, idx)
-                if prev != idx:
-                    raise ExecutionError(
-                        f"{name}: left key {key} split across partitions"
-                    )
-        for idx, part in enumerate(right.partitions):
-            for row in part:
-                key = tuple(row[c] for c in right_keys)
-                prev = placement.get(key)
-                if prev is not None and prev != idx:
-                    raise ExecutionError(
-                        f"{name}: key {key} not co-located "
-                        f"(left partition {prev}, right partition {idx})"
-                    )
-
-    def _null_padding(self, node: PhysicalPlan) -> Row:
-        """NULLs for the right side's columns (LEFT join padding)."""
-        return {c: None for c in node.children[1].schema.names}
-
-    def _merge_join(self, op: PhysMergeJoin, node: PhysicalPlan,
-                    inputs: List[Dataset]) -> List[Partition]:
-        left, right = inputs
-        self._check_sorted(left, SortOrder(op.left_keys), "MergeJoin left")
-        self._check_sorted(right, SortOrder(op.right_keys), "MergeJoin right")
-        self._check_join_colocation(
-            node, left, right, op.left_keys, op.right_keys, "MergeJoin"
-        )
-        padding = self._null_padding(node)
-        is_left = op.kind is JoinKind.LEFT
-
-        def guarded(key):
-            return tuple((v is None, v) for v in key)
-
-        result: List[Partition] = []
-        for lpart, rpart in zip(left.partitions, right.partitions):
-            out: Partition = []
-            i = j = 0
-            while i < len(lpart):
-                lkey = tuple(lpart[i][c] for c in op.left_keys)
-                if j >= len(rpart):
-                    if is_left:
-                        out.append({**lpart[i], **padding})
-                    i += 1
-                    continue
-                rkey = tuple(rpart[j][c] for c in op.right_keys)
-                if guarded(lkey) < guarded(rkey) or None in lkey:
-                    # NULL join keys never match anything.
-                    if is_left:
-                        out.append({**lpart[i], **padding})
-                    i += 1
-                elif guarded(lkey) > guarded(rkey):
-                    j += 1
-                else:
-                    i_end = i
-                    while i_end < len(lpart) and tuple(
-                        lpart[i_end][c] for c in op.left_keys
-                    ) == lkey:
-                        i_end += 1
-                    j_end = j
-                    while j_end < len(rpart) and tuple(
-                        rpart[j_end][c] for c in op.right_keys
-                    ) == rkey:
-                        j_end += 1
-                    for li in range(i, i_end):
-                        for rj in range(j, j_end):
-                            out.append({**lpart[li], **rpart[rj]})
-                    i, j = i_end, j_end
-            result.append(out)
-        return result
-
-    def _probe(self, build_rows: Partition, probe_part: Partition,
-               build_keys, probe_keys, padding: Optional[Row] = None
-               ) -> Partition:
-        """Probe a hash table; ``padding`` enables LEFT-join semantics."""
-        table: Dict[Tuple, Partition] = {}
-        for row in build_rows:
-            table.setdefault(tuple(row[c] for c in build_keys), []).append(row)
-        out: Partition = []
-        for row in probe_part:
-            key = tuple(row[c] for c in probe_keys)
-            matches = () if None in key else table.get(key, ())
-            if matches:
-                for match in matches:
-                    out.append({**row, **match})
-            elif padding is not None:
-                out.append({**row, **padding})
-        return out
-
-    def _hash_join(self, op: PhysHashJoin, node: PhysicalPlan,
-                   inputs: List[Dataset]) -> List[Partition]:
-        left, right = inputs
-        self._check_join_colocation(
-            node, left, right, op.left_keys, op.right_keys, "HashJoin"
-        )
-        padding = (
-            self._null_padding(node) if op.kind is JoinKind.LEFT else None
-        )
-        return [
-            self._probe(rpart, lpart, op.right_keys, op.left_keys, padding)
-            for lpart, rpart in zip(left.partitions, right.partitions)
-        ]
-
-    def _broadcast_join(self, op: PhysBroadcastJoin, node: PhysicalPlan,
-                        inputs: List[Dataset]) -> List[Partition]:
-        left, right = inputs
-        build = right.all_rows()
-        self.metrics.rows_broadcast += len(build) * left.n_partitions
-        self.metrics.charge_exchange(len(build) * left.n_partitions)
-        padding = (
-            self._null_padding(node) if op.kind is JoinKind.LEFT else None
-        )
-        return [
-            self._probe(build, lpart, op.right_keys, op.left_keys, padding)
-            for lpart in left.partitions
-        ]
-
-    def _top_n(self, op: PhysTopN, data: Dataset) -> List[Partition]:
-        """Deterministic top-n: order columns first, full row breaks ties."""
-        names = data.schema.names
-        tiebreak = [c for c in names if c not in op.order_columns]
-        key_cols = list(op.order_columns) + tiebreak
-
-        def key(row: Row):
-            return guarded_key(row[c] for c in key_cols)
-
-        if op.mode is not GroupByMode.LOCAL:
-            occupied = [i for i, part in enumerate(data.partitions) if part]
-            if len(occupied) > 1:
-                raise ExecutionError(
-                    f"TopN[{op.mode.value}]: input spread over partitions "
-                    f"{occupied}"
-                )
-        result: List[Partition] = []
-        for part in data.partitions:
-            result.append(sorted(part, key=key)[: op.n])
-        return result
-
-    # -- outputs --------------------------------------------------------------
-
-    def _output(self, op: PhysOutput, data: Dataset) -> List[Partition]:
-        self.metrics.rows_output += data.total_rows()
-        self.cluster.write_output(op.path, data)
-        return self._empty_partitions()
-
-    def _union(self, inputs: List[Dataset]) -> List[Partition]:
-        n = max(d.n_partitions for d in inputs)
-        result: List[Partition] = [[] for _ in range(n)]
-        for data in inputs:
-            for idx, part in enumerate(data.partitions):
-                result[idx % n].extend(part)
-        return result
-
-    # -- validation helpers ------------------------------------------------------
-
-    def _check_sorted(self, data: Dataset, order: SortOrder, who: str) -> None:
-        if not self.validate or not order.is_sorted:
-            return
-        key = _sort_key(order.columns)
-        for idx, part in enumerate(data.partitions):
-            for a, b in zip(part, part[1:]):
-                if key(a) > key(b):
-                    raise ExecutionError(
-                        f"{who}: input partition {idx} not sorted on {order}"
-                    )
-
-    def _check_grouping_colocation(self, data: Dataset, keys, who: str) -> None:
-        """Rows agreeing on ``keys`` must share a partition (FULL/FINAL)."""
-        if not self.validate:
-            return
-        if not keys:
-            occupied = [i for i, p in enumerate(data.partitions) if p]
-            if len(occupied) > 1:
-                raise ExecutionError(
-                    f"{who}: scalar aggregate input spread over {occupied}"
-                )
-            return
-        placement: Dict[Tuple, int] = {}
-        for idx, part in enumerate(data.partitions):
-            for row in part:
-                key = tuple(row[c] for c in keys)
-                prev = placement.setdefault(key, idx)
-                if prev != idx:
-                    raise ExecutionError(
-                        f"{who}: group {key} split across partitions "
-                        f"{prev} and {idx}"
-                    )
-
-
-class FragmentCutMixin:
-    """Stops executor recursion at a vertex's cut points.
-
-    Mixed in front of a concrete executor class (``PlanExecutor`` or the
-    columnar subclass) to build the per-task fragment executors of
-    ``repro.exec.scheduler``: already-computed producer results are
-    injected via ``cuts`` (keyed by plan-node ``id``) instead of being
-    recomputed.  ``slice_mode`` marks per-partition tasks: inputs arrive
-    pre-sliced to a single partition, and bookkeeping that is per
-    *reference* rather than per row (operator invocations, spool reads)
-    is suppressed — the scheduler accounts it once at the vertex level
-    so counters match the sequential executor exactly.  Defined here
-    rather than in the scheduler so backend modules can subclass it
-    without importing the scheduler (which imports them).
-    """
-
-    def __init__(self, cluster: Cluster, validate: bool,
-                 metrics: ExecutionMetrics,
-                 cuts: Dict[int, Dataset], slice_mode: bool = False):
-        super().__init__(cluster, validate)
-        self.metrics = metrics
-        self._cuts = cuts
-        self._slice_mode = slice_mode
-
-    def _run(self, node: PhysicalPlan) -> Dataset:
-        cut = self._cuts.get(id(node))
-        if cut is not None:
-            if isinstance(node.op, PhysSpool):
-                # A consumer re-reading the materialized spool.
-                if not self._slice_mode:
-                    self.metrics.note_operator(node.op.name)
-                    self.metrics.spool_reads += 1
-                    self.metrics.charge_spool(cut.total_rows())
-                return self._finish(node, cut.partitions)
-            return cut
-        if self._slice_mode:
-            # Mirror the parent dispatch but without per-reference
-            # operator counting (accounted once at the vertex level).
-            inputs = [self._run(child) for child in node.children]
-            return self._finish(node, self._apply_op(node, inputs))
-        return super()._run(node)
-
-
-class _Unset:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-
-_UNSET = _Unset()
+        return [ColumnBatch.empty() for _ in range(self.cluster.machines)]

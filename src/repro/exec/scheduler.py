@@ -23,15 +23,13 @@ physical DAG into vertices at exchange and spool boundaries, and
   folded into :class:`~repro.exec.metrics.ExecutionMetrics`.
 
 Operator semantics are shared with the sequential executor: every task
-evaluates its fragment through the selected backend's fragment executor
-(a :class:`~repro.exec.runtime.FragmentCutMixin` subclass that stops
-recursion at the vertex's cut points), so the two execution paths
-produce identical results and identical counter metrics by
-construction.  The ``backend`` parameter picks the engine ("row" or
-"columnar"); conversion shims at the vertex boundary keep committed
-results as row :class:`~repro.exec.datasets.Dataset` objects, so
-dependency tracking, retries, spools and attribution never see the
-backend's internal layout.
+evaluates its fragment through a :class:`FragmentExecutor` (the
+columnar executor, stopped at the vertex's cut points), so the two
+execution paths produce identical results and identical counter
+metrics by construction.  Committed vertex results stay
+:class:`~repro.exec.columnar.batch.ColumnarDataset` objects end to end:
+a per-partition task slices its inputs by reference, and only output
+files are converted to row datasets.
 """
 
 from __future__ import annotations
@@ -43,17 +41,54 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracer import NULL_TRACER
-from ..plan.physical import PhysicalPlan
-from .backend import _RowFragmentExecutor, get_backend
+from ..plan.physical import PhysicalPlan, PhysSpool
 from .cluster import Cluster
+from .columnar.batch import ColumnarDataset
+from .columnar.executor import ColumnarExecutor
 from .datasets import Dataset
 from .metrics import ExecutionMetrics, VertexStats
 from .runtime import ExecutionError
 from .stage_graph import StageGraph, Vertex, build_stage_graph
 
-#: Historical name of the row fragment executor (kept for callers that
-#: imported it from here before the backend registry existed).
-_FragmentExecutor = _RowFragmentExecutor
+
+class FragmentExecutor(ColumnarExecutor):
+    """Executes one vertex fragment (one scheduler task).
+
+    Recursion stops at the vertex's cut points: already-computed
+    producer results are injected via ``cuts`` (keyed by plan-node
+    ``id``) instead of being recomputed.  ``slice_mode`` marks
+    per-partition tasks: inputs arrive pre-sliced to a single partition,
+    and bookkeeping that is per *reference* rather than per row
+    (operator invocations, spool reads) is suppressed — the scheduler
+    accounts it once at the vertex level so counters match the
+    sequential executor exactly.
+    """
+
+    def __init__(self, cluster: Cluster, validate: bool,
+                 metrics: ExecutionMetrics,
+                 cuts: Dict[int, ColumnarDataset], slice_mode: bool = False):
+        super().__init__(cluster, validate)
+        self.metrics = metrics
+        self._cuts = cuts
+        self._slice_mode = slice_mode
+
+    def _run(self, node: PhysicalPlan) -> ColumnarDataset:
+        cut = self._cuts.get(id(node))
+        if cut is not None:
+            if isinstance(node.op, PhysSpool):
+                # A consumer re-reading the materialized spool.
+                if not self._slice_mode:
+                    self.metrics.note_operator(node.op.name)
+                    self.metrics.spool_reads += 1
+                    self.metrics.charge_spool(cut.total_rows())
+                return self._finish(node, cut.partitions)
+            return cut
+        if self._slice_mode:
+            # Mirror the parent dispatch but without per-reference
+            # operator counting (accounted once at the vertex level).
+            inputs = [self._run(child) for child in node.children]
+            return self._finish(node, self._apply_op(node, inputs))
+        return super()._run(node)
 
 
 class InjectedFault(RuntimeError):
@@ -125,7 +160,7 @@ class _VertexRun:
     tasks_total: int
     sliced: bool
     tasks_done: int = 0
-    results: List[Optional[Dataset]] = field(default_factory=list)
+    results: List[Optional[ColumnarDataset]] = field(default_factory=list)
     scratches: List[Optional[ExecutionMetrics]] = field(default_factory=list)
     #: Per-slot (start, end) perf_counter pair of the winning attempt.
     timings: List[Optional[Tuple[float, float]]] = field(default_factory=list)
@@ -137,7 +172,7 @@ class _VertexRun:
 class TaskScheduler:
     """Executes physical plans as dependency-ordered vertex tasks.
 
-    Drop-in alternative to :class:`PlanExecutor`: same constructor
+    Drop-in alternative to :class:`ColumnarExecutor`: same constructor
     shape, same ``execute(plan) -> outputs`` contract, same result for
     every plan (the differential test suite holds the two byte-identical
     on the whole corpus).
@@ -148,14 +183,12 @@ class TaskScheduler:
                  faults: Optional[FaultInjection] = None,
                  retry: Optional[RetryPolicy] = None,
                  watchdog: Optional[float] = None,
-                 tracer=NULL_TRACER,
-                 backend: str = "row"):
+                 tracer=NULL_TRACER):
         if workers < 1:
             raise ValueError("the scheduler needs at least one worker")
         self.cluster = cluster
         self.workers = workers
         self.validate = validate
-        self.backend = get_backend(backend)
         self.faults = faults or FaultInjection()
         self.retry = retry or RetryPolicy()
         self.watchdog = watchdog
@@ -190,7 +223,7 @@ class TaskScheduler:
         consumers_left = {
             v.vid: len(v.consumers) for v in graph.vertices
         }
-        results: Dict[int, Dataset] = {}
+        results: Dict[int, ColumnarDataset] = {}
         runs: Dict[int, _VertexRun] = {}
         finished: Dict[int, _VertexRun] = {}
         inflight: Dict[object, _Task] = {}
@@ -269,7 +302,7 @@ class TaskScheduler:
                 if scratch is not None:
                     self.metrics.merge_from(scratch)
                     run.stats.simulated_makespan += scratch.simulated_makespan
-                    run.stats.batches += scratch.total_batches()
+                    run.stats.batches += scratch.batches_processed
                     # Per-partition task slices each carry one
                     # partition's share of a fragment's output: sum them
                     # per vertex.
@@ -321,7 +354,8 @@ class TaskScheduler:
 
     # -- scheduling internals ---------------------------------------------
 
-    def _launch(self, vertex: Vertex, results: Dict[int, Dataset],
+    def _launch(self, vertex: Vertex,
+                results: Dict[int, ColumnarDataset],
                 runs: Dict[int, _VertexRun], inflight: Dict[object, _Task],
                 pool: ThreadPoolExecutor) -> None:
         inputs = [results[dep] for dep in vertex.deps]
@@ -358,7 +392,7 @@ class TaskScheduler:
             )
             self._submit(task, results, inflight, pool)
 
-    def _submit(self, task: _Task, results: Dict[int, Dataset],
+    def _submit(self, task: _Task, results: Dict[int, ColumnarDataset],
                 inflight: Dict[object, _Task],
                 pool: ThreadPoolExecutor) -> None:
         cuts = {
@@ -369,7 +403,7 @@ class TaskScheduler:
         inflight[future] = task
 
     def _handle_failure(self, task: _Task, error: BaseException,
-                        results: Dict[int, Dataset],
+                        results: Dict[int, ColumnarDataset],
                         runs: Dict[int, _VertexRun],
                         inflight: Dict[object, _Task],
                         pool: ThreadPoolExecutor) -> None:
@@ -389,8 +423,8 @@ class TaskScheduler:
             task.vertex.name, task.attempt + 1, error
         ) from error
 
-    def _run_task(self, task: _Task, cuts: Dict[int, Dataset]
-                  ) -> Tuple[Dataset, ExecutionMetrics, float, float]:
+    def _run_task(self, task: _Task, cuts: Dict[int, ColumnarDataset]
+                  ) -> Tuple[ColumnarDataset, ExecutionMetrics, float, float]:
         delay = self.retry.delay(task.attempt)
         if delay > 0.0:
             time.sleep(delay)
@@ -414,40 +448,32 @@ class TaskScheduler:
                 scratch.note_operator("Spool")
                 scratch.spool_reads += 1
                 scratch.charge_spool(dataset.total_rows())
-                scratch.note_batches(self.backend.name, dataset.n_partitions)
+                scratch.note_batches(dataset.n_partitions)
             scratch.rows_spooled += dataset.total_rows()
             scratch.charge_spool(dataset.total_rows())
             return dataset, scratch, started, time.perf_counter()
         if task.part is not None:
             cuts = {
-                node_id: Dataset(
+                node_id: ColumnarDataset(
                     d.schema, [d.partitions[task.part]], d.props
                 )
                 for node_id, d in cuts.items()
             }
-        # Vertex-boundary shims: committed results are row datasets;
-        # convert inputs into the backend's layout (after slicing, so
-        # per-partition tasks convert one partition) and the fragment
-        # result back before commit.
-        cuts = {
-            node_id: self.backend.to_backend(d)
-            for node_id, d in cuts.items()
-        }
-        executor = self.backend.fragment_cls(
+        executor = FragmentExecutor(
             self.cluster, self.validate, scratch, cuts,
             slice_mode=task.part is not None,
         )
-        dataset = self.backend.to_row(executor._run(task.vertex.root))
+        dataset = executor._run(task.vertex.root)
         return dataset, scratch, started, time.perf_counter()
 
     def _commit(self, run: _VertexRun,
-                results: Dict[int, Dataset]) -> Dataset:
+                results: Dict[int, ColumnarDataset]) -> ColumnarDataset:
         """Assemble a finished vertex's output and finish accounting."""
         vertex = run.vertex
         if run.sliced:
             partitions = [d.partitions[0] for d in run.results]
-            dataset = Dataset(vertex.root.schema, partitions,
-                              vertex.root.props)
+            dataset = ColumnarDataset(vertex.root.schema, partitions,
+                                      vertex.root.props)
             if self.validate:
                 violation = dataset.validate_layout()
                 if violation is not None:

@@ -14,7 +14,7 @@ compiled into **one** vertex no matter how many consumers reference it
 (the CSE plans of Figure 8(b)), while every other multi-referenced node
 is expanded per reference — the duplicated-pipeline semantics of a
 conventional plan (Figure 8(a)) that the sequential
-:class:`~repro.exec.runtime.PlanExecutor` implements by re-recursing.
+:class:`~repro.exec.ColumnarExecutor` implements by re-recursing.
 
 Each vertex records which of its fragment's operators are partition-local
 (``partitionwise``); the scheduler fans those vertices out into one task

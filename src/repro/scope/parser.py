@@ -293,6 +293,13 @@ class Parser:
 
     def _primary(self) -> EExpr:
         tok = self._cur
+        if tok.is_symbol("-"):
+            # Unary minus: ``-<number>`` folds into a negative literal,
+            # any other operand lowers to ``0 - operand``.
+            self._advance()
+            if self._cur.kind is TokenKind.NUMBER:
+                return ELit(-self._primary().value)
+            return EBin("-", ELit(0), self._primary())
         if tok.kind is TokenKind.NUMBER:
             self._advance()
             if "." in tok.value:

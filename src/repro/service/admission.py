@@ -260,7 +260,7 @@ class AdmissionController:
         controller.pump()                   # flush on *this* thread
         result = ticket.result(timeout=0)
 
-    Execution settings (``workers``, ``backend``, ``files``/``rows``/
+    Execution settings (``workers``, ``files``/``rows``/
     ``seed``, fault injection) are controller-level: every flushed
     group runs with them via :meth:`QueryService.execute_many`.
     """
@@ -277,7 +277,6 @@ class AdmissionController:
         seed: int = 0,
         files: Optional[Dict[str, list]] = None,
         validate: bool = True,
-        backend: str = "row",
         failure_rate: float = 0.0,
         failure_seed: int = 0,
         max_retries: int = 3,
@@ -294,7 +293,6 @@ class AdmissionController:
         self.rows = rows
         self.seed = seed
         self.validate = validate
-        self.backend = backend
         self.failure_rate = failure_rate
         self.failure_seed = failure_seed
         self.max_retries = max_retries
@@ -707,7 +705,6 @@ class AdmissionController:
                 validate=self.validate,
                 exploit_cse=exploit_cse,
                 prune=prune,
-                backend=self.backend,
                 failure_rate=self.failure_rate,
                 failure_seed=self.failure_seed,
                 max_retries=self.max_retries,

@@ -58,9 +58,9 @@ from ..cse.merge import (
 )
 from ..exec import (
     Cluster,
+    ColumnarExecutor,
     Dataset,
     ExecutionMetrics,
-    PlanExecutor,
     TaskScheduler,
 )
 from ..exec.stage_graph import StageGraph, Vertex
@@ -144,8 +144,6 @@ class ServiceRun:
     metrics: ExecutionMetrics
     stage_graph: Optional[StageGraph]
     workers: int
-    #: Execution backend that ran the operators ("row" or "columnar").
-    backend: str = "row"
     #: Scheduler substrate ("thread" or "process").
     runtime: str = "thread"
 
@@ -162,8 +160,6 @@ class BatchRun:
     metrics: ExecutionMetrics
     stage_graph: Optional[StageGraph]
     workers: int
-    #: Execution backend that ran the operators ("row" or "columnar").
-    backend: str = "row"
     #: Scheduler substrate ("thread" or "process").
     runtime: str = "thread"
 
@@ -334,7 +330,6 @@ class QueryService:
         exploit_cse: bool = True,
         prune: bool = True,
         verify: Optional[bool] = None,
-        backend: str = "row",
         failure_rate: float = 0.0,
         failure_seed: int = 0,
         max_retries: int = 3,
@@ -344,8 +339,6 @@ class QueryService:
     ) -> ServiceRun:
         """Optimize-or-serve one script and run it on the simulator.
 
-        ``backend`` selects the execution engine ("row" or "columnar");
-        plans, cache keys and outputs are backend-independent.
         ``failure_rate`` enables seeded per-task fault injection on the
         scheduler path (``workers >= 1``), retried up to
         ``max_retries`` times per task.  ``runtime="process"`` runs the
@@ -357,12 +350,11 @@ class QueryService:
                           verify=verify, dialect=dialect)
         outputs, metrics, graph = self._run_plan(
             sub.result.plan, workers, machines, rows, seed, files, validate,
-            backend, failure_rate, failure_seed, max_retries,
-            runtime, spill_dir,
+            failure_rate, failure_seed, max_retries, runtime, spill_dir,
         )
         run = ServiceRun(submit=sub, outputs=outputs, metrics=metrics,
                          stage_graph=graph, workers=workers,
-                         backend=backend, runtime=runtime)
+                         runtime=runtime)
         self._feedback_after(run)
         return run
 
@@ -380,7 +372,6 @@ class QueryService:
         exploit_cse: bool = True,
         prune: bool = True,
         verify: Optional[bool] = None,
-        backend: str = "row",
         uniquify_labels: bool = False,
         precompiled: Optional[Sequence[LogicalPlan]] = None,
         failure_rate: float = 0.0,
@@ -394,8 +385,7 @@ class QueryService:
 
         Cross-script common subexpressions are spooled and executed
         once; each script's outputs are cut back out under its original
-        paths.  ``backend`` selects the execution engine ("row" or
-        "columnar").  ``uniquify_labels``/``precompiled`` forward to
+        paths.  ``uniquify_labels``/``precompiled`` forward to
         :meth:`submit_many`; ``failure_rate`` enables seeded per-task
         fault injection on the scheduler path.
         """
@@ -406,8 +396,7 @@ class QueryService:
                                precompiled=precompiled, dialect=dialect)
         merged_outputs, metrics, graph = self._run_plan(
             sub.result.plan, workers, machines, rows, seed, files, validate,
-            backend, failure_rate, failure_seed, max_retries,
-            runtime, spill_dir,
+            failure_rate, failure_seed, max_retries, runtime, spill_dir,
         )
         per_script = sub.batch.split_outputs(merged_outputs)
         run = BatchRun(
@@ -417,7 +406,6 @@ class QueryService:
             metrics=metrics,
             stage_graph=graph,
             workers=workers,
-            backend=backend,
             runtime=runtime,
         )
         self._feedback_after(run)
@@ -736,11 +724,10 @@ class QueryService:
     def _run_plan(self, plan, workers: int, machines: Optional[int],
                   rows: Optional[int], seed: int,
                   files: Optional[Dict[str, list]], validate: bool,
-                  backend: str = "row", failure_rate: float = 0.0,
+                  failure_rate: float = 0.0,
                   failure_seed: int = 0, max_retries: int = 3,
                   runtime: str = "thread",
                   spill_dir: Optional[str] = None):
-        from ..exec.backend import get_backend
         from ..exec.dist import RUNTIME_NAMES, ProcessScheduler
         from ..exec.scheduler import FaultInjection, RetryPolicy
         from ..workloads.datagen import generate_for_catalog
@@ -760,7 +747,6 @@ class QueryService:
         cluster = Cluster(machines=machines)
         for path, file_rows in files.items():
             cluster.load_file(path, file_rows)
-        engine = get_backend(backend)
         if workers > 0:
             scheduler_cls: type = TaskScheduler
             scheduler_kwargs = {}
@@ -769,7 +755,6 @@ class QueryService:
                 scheduler_kwargs = dict(spill_dir=spill_dir)
             executor = scheduler_cls(cluster, workers=workers,
                                      validate=validate, tracer=self.tracer,
-                                     backend=engine.name,
                                      faults=FaultInjection(
                                          rate=failure_rate,
                                          seed=failure_seed),
@@ -777,8 +762,8 @@ class QueryService:
                                          max_retries=max_retries),
                                      **scheduler_kwargs)
         else:
-            executor = engine.executor_cls(cluster, validate=validate,
-                                           tracer=self.tracer)
+            executor = ColumnarExecutor(cluster, validate=validate,
+                                        tracer=self.tracer)
         outputs = executor.execute(plan)
         graph = executor.stage_graph if workers > 0 else None
         if self.metrics_collector is not None:

@@ -9,7 +9,7 @@ SCOPE compiler, so a CTE referenced N times becomes one DAG node with N
 parents — exactly the explicitly shared subexpressions of the paper's
 Algorithm 1 — and the whole downstream stack (CSE detection, phase-1/2
 optimization, verification, plan cache, admission batching, both
-backends, both runtimes) works unchanged.  See ``docs/sql.md``.
+runtimes) works unchanged.  See ``docs/sql.md``.
 """
 
 from .ast import CTE, QueryBody, SelectCore, SqlScript, SqlStatement, Star

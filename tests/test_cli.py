@@ -131,20 +131,19 @@ class TestRunScheduler:
         assert "failed after 2 attempt(s)" in err
 
 
-class TestColumnarBackend:
-    def test_columnar_run_verifies_vs_oracle(self, workspace, capsys):
+class TestColumnarExecutor:
+    def test_run_verifies_vs_oracle(self, workspace, capsys):
         script, catalog = workspace
         code = main(["run", script, "--catalog", catalog, "--machines", "3",
-                     "--rows", "1200", "--backend", "columnar"])
+                     "--rows", "1200"])
         assert code == 0
         out = capsys.readouterr().out
         assert "verified: results identical" in out
 
-    def test_columnar_scheduler_with_faults(self, workspace, capsys):
+    def test_scheduler_with_faults(self, workspace, capsys):
         script, catalog = workspace
         code = main(["run", script, "--catalog", catalog, "--machines", "3",
                      "--rows", "900", "--workers", "4",
-                     "--backend", "columnar",
                      "--inject-failures", "0.3", "--failure-seed", "5",
                      "--max-retries", "12"])
         assert code == 0
@@ -154,13 +153,11 @@ class TestColumnarBackend:
     def test_explain_exec_sequential(self, workspace, capsys):
         script, catalog = workspace
         code = main(["run", script, "--catalog", catalog, "--machines", "3",
-                     "--rows", "600", "--backend", "columnar",
-                     "--explain-exec"])
+                     "--rows", "600", "--explain-exec"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "--- execution backend ---" in out
-        assert "backend: columnar" in out
-        assert "batches processed [columnar]:" in out
+        assert "--- execution batches ---" in out
+        assert "batches processed: " in out
         # Sequential runs have no vertex stats.
         assert "per-vertex batches:" not in out
 
@@ -170,16 +167,15 @@ class TestColumnarBackend:
                      "--rows", "600", "--workers", "2", "--explain-exec"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend: row" in out
-        assert "batches processed [row]:" in out
+        assert "batches processed: " in out
         assert "per-vertex batches:" in out
         assert "  V00" in out
 
-    def test_unknown_backend_is_rejected(self, workspace, capsys):
+    def test_backend_flag_is_gone(self, workspace, capsys):
         script, catalog = workspace
         with pytest.raises(SystemExit):
             main(["run", script, "--catalog", catalog,
-                  "--backend", "arrow"])
+                  "--backend", "columnar"])
 
 
 class TestVerify:
@@ -351,17 +347,15 @@ class TestBatch:
         assert "left/result1.out" in out
         assert "right/result3.out" in out
 
-    def test_batch_columnar_with_explain_exec(self, batch_workspace,
-                                              capsys):
+    def test_batch_with_explain_exec(self, batch_workspace, capsys):
         script1, script2, catalog = batch_workspace
         code = main(["batch", script1, script2, "--catalog", catalog,
                      "--machines", "4", "--workers", "2", "--rows", "800",
-                     "--backend", "columnar", "--explain-exec"])
+                     "--explain-exec"])
         assert code == 0
         out = capsys.readouterr().out
         assert "cross-script shared vertices (executed once)" in out
-        assert "backend: columnar" in out
-        assert "batches processed [columnar]:" in out
+        assert "batches processed: " in out
         assert "per-vertex batches:" in out
 
     def test_bad_label_count_is_a_clean_error(self, batch_workspace,

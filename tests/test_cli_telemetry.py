@@ -139,7 +139,7 @@ class TestRunStatsJson:
         doc = json.load(open(stats))
         assert doc["rows_extracted"] == 300
         assert any(key.startswith("operator.") for key in doc)
-        assert any(key.startswith("batches_processed.") for key in doc)
+        assert doc["batches_processed"] > 0
         assert "vertices" in doc
         for stats_row in doc["vertices"].values():
             assert {"launches", "rows_in", "rows_out"} <= set(stats_row)

@@ -1,13 +1,13 @@
-"""Differential harness: columnar backend vs row backend.
+"""Differential harness: the columnar executor vs the naive oracle.
 
 Every regression-corpus script and every paper script (S1–S4, LS1, LS2)
-is executed on both backends — sequentially and on the task-parallel
-scheduler at worker counts 1 and 4 — and the runs must be
-*byte-identical* on canonically sorted outputs.  The deterministic work
-counters (including the new ``rows_filtered``), per-operator invocation
-counts and total batch counts must agree exactly, the scheduler's
-exactly-once spool semantics must hold under the columnar backend, and
-fault-injected columnar runs must converge to the same bytes.
+is executed on the one physical executor — sequentially and on the
+task-parallel scheduler at worker counts 1 and 4 — and every output
+must equal what :class:`~repro.naive.NaiveEvaluator` computes from the
+unoptimized logical plan, row for row after canonical sorting.  The
+scheduler's exactly-once spool semantics must hold, fault-injected runs
+must converge to the oracle's rows, and the per-vertex batch counts must
+add up to the run's total.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ import pytest
 from repro.api import execute_batch, execute_script, optimize_script
 from repro.exec import (
     Cluster,
+    ColumnarExecutor,
     FaultInjection,
     RetryPolicy,
     TaskScheduler,
     build_stage_graph,
-    get_backend,
 )
+from repro.frontend import compile_text
+from repro.naive import NaiveEvaluator
 from repro.obs import Tracer
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -39,19 +41,6 @@ MACHINES = 4
 #: 0 = sequential executor; >=1 = task scheduler with that many workers.
 WORKER_COUNTS = (0, 1, 4)
 
-#: Deterministic counters that must agree exactly between backends.
-COUNTERS = (
-    "rows_extracted",
-    "rows_shuffled",
-    "rows_broadcast",
-    "rows_spooled",
-    "spool_reads",
-    "rows_output",
-    "rows_sorted",
-    "rows_filtered",
-    "max_partition_rows",
-)
-
 
 def _make_cluster(files, machines=MACHINES):
     cluster = Cluster(machines=machines)
@@ -60,45 +49,33 @@ def _make_cluster(files, machines=MACHINES):
     return cluster
 
 
-def run_backend(plan, files, workers, backend, machines=MACHINES):
-    """Execute ``plan`` on one backend; returns (outputs, metrics)."""
+def run_executor(plan, files, workers, machines=MACHINES):
+    """Execute ``plan``; returns (outputs, metrics)."""
     cluster = _make_cluster(files, machines)
     if workers == 0:
-        executor = get_backend(backend).executor_cls(cluster, validate=True)
+        executor = ColumnarExecutor(cluster, validate=True)
     else:
-        executor = TaskScheduler(cluster, workers=workers, validate=True,
-                                 backend=backend)
+        executor = TaskScheduler(cluster, workers=workers, validate=True)
     outputs = executor.execute(plan)
     return outputs, executor.metrics
 
 
-def assert_backends_equivalent(plan, files, workers, label,
-                               machines=MACHINES):
-    row_out, row_metrics = run_backend(plan, files, workers, "row", machines)
-    col_out, col_metrics = run_backend(plan, files, workers, "columnar",
-                                       machines)
-    assert set(row_out) == set(col_out), label
-    for path in row_out:
-        assert (
-            row_out[path].canonical_bytes() == col_out[path].canonical_bytes()
-        ), f"{label}: output {path} differs between backends"
-    for counter in COUNTERS:
-        assert getattr(row_metrics, counter) == getattr(
-            col_metrics, counter
-        ), f"{label}: counter {counter} diverged"
-    assert (
-        row_metrics.operator_invocations == col_metrics.operator_invocations
-    ), f"{label}: operator invocation counts diverged"
-    assert row_metrics.total_batches() == col_metrics.total_batches(), (
-        f"{label}: total batch counts diverged"
-    )
-    assert set(col_metrics.batches_processed) == {"columnar"}, (
-        f"{label}: columnar run counted batches under "
-        f"{set(col_metrics.batches_processed)}"
-    )
+def assert_matches_oracle(outputs, expected, label):
+    assert set(outputs) == set(expected), label
+    for path, want in expected.items():
+        assert outputs[path].sorted_rows() == want, (
+            f"{label}: output {path} differs from the oracle"
+        )
+
+
+def assert_executor_matches_oracle(plan, files, workers, expected, label,
+                                   machines=MACHINES):
+    outputs, metrics = run_executor(plan, files, workers, machines)
+    assert_matches_oracle(outputs, expected, label)
+    assert metrics.batches_processed > 0, f"{label}: no batches counted"
     if workers:
-        assert col_metrics.vertices, f"{label}: no vertex stats recorded"
-        for name, stats in col_metrics.vertices.items():
+        assert metrics.vertices, f"{label}: no vertex stats recorded"
+        for name, stats in metrics.vertices.items():
             assert stats.launches == 1, (
                 f"{label}: vertex {name} launched {stats.launches} times"
             )
@@ -118,6 +95,7 @@ def corpus_env():
 
 
 _corpus_plans = {}
+_corpus_expected = {}
 
 
 def corpus_plan(corpus_env, script_path, exploit_cse):
@@ -132,18 +110,28 @@ def corpus_plan(corpus_env, script_path, exploit_cse):
     return _corpus_plans[key]
 
 
+def corpus_expected(corpus_env, script_path):
+    if script_path.name not in _corpus_expected:
+        catalog, _config, files = corpus_env
+        logical = compile_text(script_path.read_text(), catalog)
+        _corpus_expected[script_path.name] = NaiveEvaluator(files).run(
+            logical
+        )
+    return _corpus_expected[script_path.name]
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("exploit_cse", [False, True],
                          ids=["conventional", "cse"])
 @pytest.mark.parametrize(
     "script_path", CORPUS_SCRIPTS, ids=[p.stem for p in CORPUS_SCRIPTS]
 )
-def test_corpus_columnar_matches_row(script_path, exploit_cse, workers,
-                                     corpus_env):
+def test_corpus_matches_oracle(script_path, exploit_cse, workers,
+                               corpus_env):
     plan = corpus_plan(corpus_env, script_path, exploit_cse)
     _catalog, _config, files = corpus_env
-    assert_backends_equivalent(
-        plan, files, workers,
+    assert_executor_matches_oracle(
+        plan, files, workers, corpus_expected(corpus_env, script_path),
         label=f"{script_path.stem} cse={exploit_cse} workers={workers}",
     )
 
@@ -168,16 +156,20 @@ def paper_plan(abcd_catalog, name, exploit_cse):
     return _paper_plans[key]
 
 
+def paper_expected(abcd_catalog, name, files):
+    logical = compile_text(PAPER_SCRIPTS[name], abcd_catalog)
+    return NaiveEvaluator(files).run(logical)
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("exploit_cse", [False, True],
                          ids=["conventional", "cse"])
 @pytest.mark.parametrize("name", sorted(PAPER_SCRIPTS))
-def test_paper_columnar_matches_row(name, exploit_cse, workers,
-                                    abcd_catalog):
+def test_paper_matches_oracle(name, exploit_cse, workers, abcd_catalog):
     plan = paper_plan(abcd_catalog, name, exploit_cse)
     files = generate_for_catalog(abcd_catalog, seed=7)
-    assert_backends_equivalent(
-        plan, files, workers,
+    assert_executor_matches_oracle(
+        plan, files, workers, paper_expected(abcd_catalog, name, files),
         label=f"{name} cse={exploit_cse} workers={workers}",
     )
 
@@ -189,8 +181,8 @@ def test_paper_columnar_matches_row(name, exploit_cse, workers,
 
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("name", ["LS1", "LS2"])
-def test_large_script_columnar_matches_row(name, workers):
-    """The big DAGs (34 and 151 vertices) stay backend-identical.
+def test_large_script_matches_oracle(name, workers):
+    """The big DAGs (34 and 151 vertices) match the oracle.
 
     Data volume is capped; the point is graph shape (hundreds of
     operators, deep spool nesting), not rows.
@@ -199,38 +191,37 @@ def test_large_script_columnar_matches_row(name, workers):
     config = OptimizerConfig(cost_params=CostParams(machines=MACHINES))
     result = optimize_script(text, catalog, config, exploit_cse=True)
     files = generate_for_catalog(catalog, seed=5, rows_override=120)
-    assert_backends_equivalent(
-        result.plan, files, workers, label=f"{name} workers={workers}",
+    expected = NaiveEvaluator(files).run(compile_text(text, catalog))
+    assert_executor_matches_oracle(
+        result.plan, files, workers, expected,
+        label=f"{name} workers={workers}",
     )
 
 
 # ---------------------------------------------------------------------------
-# Scheduler features over the columnar backend
+# Scheduler features
 # ---------------------------------------------------------------------------
 
 
-class TestColumnarSchedulerFeatures:
-    def test_fault_injected_columnar_converges(self, abcd_catalog):
-        """Retried columnar tasks produce the same bytes as a clean row
-        run — spools replay correctly through the conversion shims."""
+class TestSchedulerFeatures:
+    def test_fault_injected_run_converges(self, abcd_catalog):
+        """Retried tasks produce the oracle's rows — spools replay
+        correctly from committed columnar vertex results."""
         plan = paper_plan(abcd_catalog, "S1", exploit_cse=True)
         files = generate_for_catalog(abcd_catalog, seed=7)
-        clean_out, _ = run_backend(plan, files, workers=4, backend="row")
         scheduler = TaskScheduler(
             _make_cluster(files), workers=4, validate=True,
             faults=FaultInjection(rate=0.3, seed=11),
             retry=RetryPolicy(max_retries=12),
-            backend="columnar",
         )
         faulted_out = scheduler.execute(plan)
         assert scheduler.metrics.task_retries > 0, (
             "fault injection produced no retries; raise the rate"
         )
-        for path in clean_out:
-            assert (
-                clean_out[path].canonical_bytes()
-                == faulted_out[path].canonical_bytes()
-            ), f"faulted columnar output {path} diverged"
+        assert_matches_oracle(
+            faulted_out, paper_expected(abcd_catalog, "S1", files),
+            "faulted S1",
+        )
 
     @pytest.mark.parametrize("name", sorted(PAPER_SCRIPTS))
     def test_spool_vertices_launch_exactly_once(self, name, abcd_catalog):
@@ -240,24 +231,22 @@ class TestColumnarSchedulerFeatures:
         assert spool_names, f"{name}: CSE plan must contain spool vertices"
         files = generate_for_catalog(abcd_catalog, seed=7)
         scheduler = TaskScheduler(_make_cluster(files), workers=4,
-                                  validate=True, backend="columnar")
+                                  validate=True)
         scheduler.execute(plan)
         for spool in spool_names:
             stats = scheduler.metrics.vertices[spool]
             assert stats.launches == 1, (
                 f"{name}: spool vertex {spool} materialized "
-                f"{stats.launches} times under the columnar backend"
+                f"{stats.launches} times"
             )
 
-    def test_serves_attribution_in_columnar_batch(self, abcd_catalog):
-        """Cross-script sharing (``serves``) works over the columnar
-        backend: the shared vertex runs once and serves both scripts."""
+    def test_serves_attribution_in_batch(self, abcd_catalog):
+        """Cross-script sharing (``serves``): the shared vertex runs
+        once and serves both scripts."""
         run = execute_batch(
             [PAPER_SCRIPTS["S1"], PAPER_SCRIPTS["S2"]], abcd_catalog,
             workers=4, machines=MACHINES, rows=600, seed=7,
-            backend="columnar",
         )
-        assert run.backend == "columnar"
         shared = run.shared_vertices()
         assert shared, "S1+S2 batch must share at least one vertex"
         for vertex in shared:
@@ -271,29 +260,30 @@ class TestColumnarSchedulerFeatures:
             assert outputs
 
     @pytest.mark.parametrize("workers", [0, 4])
-    def test_span_tree_structure_is_backend_independent(self, abcd_catalog,
-                                                        workers):
-        """The trace shape (and its deterministic attributes) must not
-        leak the backend choice — only counters/events may differ."""
+    def test_span_tree_structure_is_check_independent(self, abcd_catalog,
+                                                      workers):
+        """The layout property checks are pure observers: switching them
+        off must not change the trace shape or its deterministic
+        attributes (per-vertex rows, tasks, launches)."""
         files = generate_for_catalog(abcd_catalog, seed=7, rows_override=600)
         structures = {}
-        for backend in ("row", "columnar"):
+        for validate in (True, False):
             tracer = Tracer()
             execute_script(
                 PAPER_SCRIPTS["S2"], abcd_catalog,
                 workers=workers, machines=MACHINES, files=files,
-                backend=backend, tracer=tracer,
+                validate=validate, tracer=tracer,
             )
-            structures[backend] = tracer.root.structure()
-        assert structures["row"] == structures["columnar"]
+            structures[validate] = tracer.root.structure()
+        assert structures[True] == structures[False]
 
     def test_vertex_stats_batches_populated(self, abcd_catalog):
         plan = paper_plan(abcd_catalog, "S1", exploit_cse=True)
         files = generate_for_catalog(abcd_catalog, seed=7)
         scheduler = TaskScheduler(_make_cluster(files), workers=4,
-                                  validate=True, backend="columnar")
+                                  validate=True)
         scheduler.execute(plan)
         stats = scheduler.metrics.vertices
         assert sum(v.batches for v in stats.values()) == \
-            scheduler.metrics.total_batches()
+            scheduler.metrics.batches_processed
         assert any(v.batches > 0 for v in stats.values())

@@ -1,10 +1,11 @@
-"""Unit tests for the columnar backend's vectorized kernels.
+"""Unit tests for the columnar executor's vectorized kernels.
 
-The generated kernels must reproduce the row backend's expression
-semantics *exactly* — NULL comparisons are false, NULL arithmetic is
-NULL, AND/OR genuinely short-circuit, truthiness coerces like
-``bool()`` — because the differential harness compares byte-identical
-outputs.  So every test here cross-checks a compiled kernel against
+The generated kernels must reproduce ``Expr.evaluate``'s expression
+semantics — which the naive oracle interprets — *exactly*: NULL
+comparisons are false, NULL arithmetic is NULL, AND/OR genuinely
+short-circuit, truthiness coerces like ``bool()``.  The differential
+harness compares the executor's outputs with the oracle's row for row,
+so every test here cross-checks a compiled kernel against
 ``Expr.evaluate`` row by row.
 """
 

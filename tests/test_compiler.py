@@ -300,7 +300,7 @@ class TestHavingAggregates:
 
     def test_having_executes_correctly(self, abcd_catalog):
         from repro.api import optimize_script
-        from repro.exec import Cluster, PlanExecutor
+        from repro.exec import Cluster, ColumnarExecutor
         from repro.naive import NaiveEvaluator
         from repro.optimizer.cost import CostParams
         from repro.optimizer.engine import OptimizerConfig
@@ -318,7 +318,7 @@ class TestHavingAggregates:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(text, abcd_catalog)
         )

@@ -15,7 +15,7 @@ import pathlib
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -71,7 +71,7 @@ def test_corpus_script_matches_oracle(script_path, corpus_catalog,
             cluster = Cluster(machines=MACHINES)
             for path, rows in files.items():
                 cluster.load_file(path, rows)
-            outputs = PlanExecutor(cluster, validate=True).execute(
+            outputs = ColumnarExecutor(cluster, validate=True).execute(
                 result.plan
             )
             for path, want in expected.items():

@@ -1,14 +1,16 @@
 """Differential harness: process runtime vs thread runtime.
 
 Every regression-corpus script and every paper script (S1–S4, LS1,
-LS2) is executed twice per backend — once on the in-process
-:class:`TaskScheduler` and once on the multiprocess
-:class:`ProcessScheduler` (forked workers, wire-format exchanges
-spilled to disk) — at worker counts 2 and 4.  The two runtimes must be
-*byte-identical* on canonically sorted outputs, must agree on every
-deterministic counter and on the operator invocation census, must
-launch every vertex (spool producers in particular) exactly once, and
-the process runtime must remove its spill directory on success.
+LS2) is executed twice — once on the in-process :class:`TaskScheduler`
+and once on the multiprocess :class:`ProcessScheduler` (forked workers,
+wire-format exchanges spilled to disk) — at worker counts 2 and 4, with
+the layout property checks on and off (the benchmarks run unchecked).
+The process runtime's outputs must equal the :class:`NaiveEvaluator`
+oracle's, the two runtimes must be *byte-identical* on canonically
+sorted outputs, must agree on every deterministic counter and on the
+operator invocation census, must launch every vertex (spool producers
+in particular) exactly once, and the process runtime must remove its
+spill directory on success.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import pytest
 
 from repro.api import optimize_script
 from repro.exec import Cluster, ProcessScheduler, TaskScheduler
+from repro.frontend import compile_text
+from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
 from repro.scope.statistics import catalog_from_json
@@ -30,7 +34,6 @@ from repro.workloads.paper_scripts import PAPER_SCRIPTS
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS_SCRIPTS = sorted(CORPUS_DIR.glob("*.scope"))
 MACHINES = 4
-BACKENDS = ("row", "columnar")
 #: Worker counts every differential test runs at.  The CI stress job
 #: widens this via REPRO_SCHED_WORKERS (e.g. "8" or "2,8").
 WORKER_COUNTS = (2, 4)
@@ -40,6 +43,12 @@ if os.environ.get("REPRO_SCHED_WORKERS"):
         *(int(w) for w in
           os.environ["REPRO_SCHED_WORKERS"].split(",") if w.strip()),
     }))
+
+#: ``validate`` settings: the checked runs are what tests usually see,
+#: the unchecked ones what the benchmarks time.  Switching the checks
+#: off must change no output byte and no counter.
+VALIDATE = pytest.mark.parametrize("validate", [True, False],
+                                   ids=["checked", "unchecked"])
 
 #: Deterministic counters that must agree exactly between the thread
 #: and process runtimes.  ``simulated_makespan`` is *included*: both
@@ -68,16 +77,14 @@ def _make_cluster(files, machines=MACHINES):
     return cluster
 
 
-def run_differential(plan, files, workers, backend, machines=MACHINES):
+def run_differential(plan, files, workers, validate, machines=MACHINES):
     """Execute ``plan`` on both runtimes; return outputs and metrics."""
     thread = TaskScheduler(
-        _make_cluster(files, machines), workers=workers, validate=True,
-        backend=backend,
+        _make_cluster(files, machines), workers=workers, validate=validate,
     )
     thread_outputs = thread.execute(plan)
     process = ProcessScheduler(
-        _make_cluster(files, machines), workers=workers, validate=True,
-        backend=backend,
+        _make_cluster(files, machines), workers=workers, validate=validate,
     )
     process_outputs = process.execute(plan)
     # Success must leave nothing behind: the run-scoped spill directory
@@ -89,7 +96,12 @@ def run_differential(plan, files, workers, backend, machines=MACHINES):
 
 
 def assert_equivalent(thread_outputs, process_outputs, thread_metrics,
-                      process_metrics, label):
+                      process_metrics, label, expected):
+    assert set(process_outputs) == set(expected), label
+    for path, want in expected.items():
+        assert process_outputs[path].sorted_rows() == want, (
+            f"{label}: output {path} differs from the oracle"
+        )
     assert set(thread_outputs) == set(process_outputs), label
     for path in thread_outputs:
         assert (
@@ -150,18 +162,22 @@ def corpus_plan(corpus_env, script_path):
     return _corpus_plans[script_path.name]
 
 
+@VALIDATE
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "script_path", CORPUS_SCRIPTS, ids=[p.stem for p in CORPUS_SCRIPTS]
 )
-def test_corpus_process_matches_thread(script_path, backend, workers,
+def test_corpus_process_matches_thread(script_path, workers, validate,
                                        corpus_env):
     plan = corpus_plan(corpus_env, script_path)
-    _catalog, _config, files = corpus_env
+    catalog, _config, files = corpus_env
+    expected = NaiveEvaluator(files).run(
+        compile_text(script_path.read_text(), catalog)
+    )
     assert_equivalent(
-        *run_differential(plan, files, workers, backend),
-        label=f"{script_path.stem} backend={backend} workers={workers}",
+        *run_differential(plan, files, workers, validate),
+        label=f"{script_path.stem} workers={workers} validate={validate}",
+        expected=expected,
     )
 
 
@@ -185,19 +201,23 @@ def paper_plan(abcd_catalog, name, exploit_cse):
     return _paper_plans[key]
 
 
+@VALIDATE
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("exploit_cse", [False, True],
                          ids=["conventional", "cse"])
 @pytest.mark.parametrize("name", sorted(PAPER_SCRIPTS))
-def test_paper_process_matches_thread(name, exploit_cse, backend, workers,
+def test_paper_process_matches_thread(name, exploit_cse, workers, validate,
                                       abcd_catalog):
     plan = paper_plan(abcd_catalog, name, exploit_cse)
     files = generate_for_catalog(abcd_catalog, seed=7)
+    expected = NaiveEvaluator(files).run(
+        compile_text(PAPER_SCRIPTS[name], abcd_catalog)
+    )
     assert_equivalent(
-        *run_differential(plan, files, workers, backend),
-        label=(f"{name} cse={exploit_cse} backend={backend} "
-               f"workers={workers}"),
+        *run_differential(plan, files, workers, validate),
+        label=(f"{name} cse={exploit_cse} workers={workers} "
+               f"validate={validate}"),
+        expected=expected,
     )
 
 
@@ -206,9 +226,9 @@ def test_paper_process_matches_thread(name, exploit_cse, backend, workers,
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@VALIDATE
 @pytest.mark.parametrize("name", ["LS1", "LS2"])
-def test_large_script_process_matches_thread(name, backend):
+def test_large_script_process_matches_thread(name, validate):
     """The big DAGs (34 and 151 vertices) stay runtime-identical.
 
     Data volume is capped; the point here is graph shape (hundreds of
@@ -219,7 +239,8 @@ def test_large_script_process_matches_thread(name, backend):
     config = OptimizerConfig(cost_params=CostParams(machines=MACHINES))
     result = optimize_script(text, catalog, config, exploit_cse=True)
     files = generate_for_catalog(catalog, seed=5, rows_override=120)
+    expected = NaiveEvaluator(files).run(compile_text(text, catalog))
     assert_equivalent(
-        *run_differential(result.plan, files, 4, backend),
-        label=f"{name} backend={backend}",
+        *run_differential(result.plan, files, 4, validate),
+        label=f"{name} validate={validate}", expected=expected,
     )

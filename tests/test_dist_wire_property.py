@@ -130,9 +130,9 @@ class TestDatasetRoundTrip:
         assert encode_dataset(decoded) == encode_dataset(dataset)
 
     def test_row_dataset_encodes_to_the_same_bytes_as_columnar(self):
-        """Both backends' datasets serialize to identical wire blobs:
-        the on-disk format is layout-independent (rows are transposed
-        on the way in)."""
+        """Row (output-file) and columnar datasets serialize to
+        identical wire blobs: the on-disk format is layout-independent
+        (rows are transposed on the way in)."""
         schema = Schema([Column("a"), Column("b")])
         rows = [{"a": 1, "b": "x"}, {"a": None, "b": "ü"}]
         row_ds = Dataset(schema, [rows, []])

@@ -1,10 +1,16 @@
-"""Unit tests for the cluster simulator's runtime operators."""
+"""Unit tests for the cluster simulator's runtime operators.
+
+Every test drives the one physical executor, ``ColumnarExecutor``; the
+validation tests each pin the message of one runtime property check, so
+removing that check fails its test.
+"""
 
 import pytest
 
 from repro.exec.cluster import Cluster
-from repro.exec.datasets import Dataset, hash_partition_index
-from repro.exec.runtime import ExecutionError, PlanExecutor
+from repro.exec.columnar import ColumnarExecutor, from_row_dataset
+from repro.exec.datasets import Dataset
+from repro.exec.runtime import ExecutionError
 from repro.plan.columns import Column, Schema
 from repro.plan.expressions import (
     Aggregate,
@@ -27,6 +33,7 @@ from repro.plan.physical import (
     PhysOutput,
     PhysProject,
     PhysRepartition,
+    PhysSequence,
     PhysSort,
     PhysSpool,
     PhysStreamAgg,
@@ -53,6 +60,11 @@ def scan(path="in", schema=AB):
     return node(PhysExtract(1, path, "E", schema), schema=schema)
 
 
+def rows(data):
+    """All rows of a columnar result, as row dicts in partition order."""
+    return data.to_row_dataset().all_rows()
+
+
 @pytest.fixture
 def cluster():
     c = Cluster(machines=3)
@@ -62,7 +74,7 @@ def cluster():
 
 class TestBasics:
     def test_extract_round_robins(self, cluster):
-        ex = PlanExecutor(cluster)
+        ex = ColumnarExecutor(cluster)
         data = ex._run(scan())
         assert data.total_rows() == 12
         assert data.n_partitions == 3
@@ -71,9 +83,9 @@ class TestBasics:
     def test_filter(self, cluster):
         pred = BinaryExpr(BinaryOp.EQ, ColumnRef("B"), Literal(0))
         plan = node(PhysFilter(pred), [scan()])
-        data = PlanExecutor(cluster)._run(plan)
+        data = ColumnarExecutor(cluster)._run(plan)
         assert data.total_rows() == 6
-        assert all(r["B"] == 0 for r in data.all_rows())
+        assert all(r["B"] == 0 for r in rows(data))
 
     def test_project_computes(self, cluster):
         exprs = (
@@ -85,24 +97,24 @@ class TestBasics:
             op=PhysProject(exprs), children=(scan(),), schema=schema,
             props=PhysicalProps(),
         )
-        data = PlanExecutor(cluster)._run(plan)
-        assert {r["A10"] for r in data.all_rows()} == {10, 11, 12, 13}
+        data = ColumnarExecutor(cluster)._run(plan)
+        assert {r["A10"] for r in rows(data)} == {10, 11, 12, 13}
 
     def test_sort_per_partition(self, cluster):
         plan = node(PhysSort(SortOrder.of("A", "B")), [scan()])
-        data = PlanExecutor(cluster)._run(plan)
+        data = ColumnarExecutor(cluster)._run(plan)
         assert data.validate_layout() is None
 
     def test_repartition_colocates(self, cluster):
         plan = node(PhysRepartition(("A",)), [scan()])
-        ex = PlanExecutor(cluster)
+        ex = ColumnarExecutor(cluster)
         data = ex._run(plan)
         assert data.validate_layout() is None
         assert ex.metrics.rows_shuffled == 12
 
     def test_merge_gathers_to_one(self, cluster):
         plan = node(PhysMerge(), [scan()])
-        data = PlanExecutor(cluster)._run(plan)
+        data = ColumnarExecutor(cluster)._run(plan)
         assert len(data.partitions[0]) == 12
         assert all(not p for p in data.partitions[1:])
 
@@ -112,7 +124,7 @@ class TestBasics:
             PhysRepartition(("B",), merge_sort=SortOrder.of("A")),
             [sorted_scan],
         )
-        data = PlanExecutor(cluster)._run(plan)
+        data = ColumnarExecutor(cluster)._run(plan)
         assert data.validate_layout() is None
         assert data.props.sort_order == SortOrder.of("A")
 
@@ -126,7 +138,7 @@ class TestAggregation:
             PhysStreamAgg(("A",), self.agg(), GroupByMode.LOCAL), [scan()]
         )
         with pytest.raises(ExecutionError, match="not sorted"):
-            PlanExecutor(cluster)._run(bad)
+            ColumnarExecutor(cluster)._run(bad)
 
     def test_full_agg_requires_colocation(self, cluster):
         sorted_scan = node(PhysSort(SortOrder.of("A")), [scan()])
@@ -134,7 +146,7 @@ class TestAggregation:
             PhysStreamAgg(("A",), self.agg(), GroupByMode.FULL), [sorted_scan]
         )
         with pytest.raises(ExecutionError, match="split across"):
-            PlanExecutor(cluster)._run(bad)
+            ColumnarExecutor(cluster)._run(bad)
 
     def test_full_stream_agg_counts(self, cluster):
         repart = node(PhysRepartition(("A",)), [scan()])
@@ -142,8 +154,8 @@ class TestAggregation:
         plan = node(
             PhysStreamAgg(("A",), self.agg(), GroupByMode.FULL), [sorted_in]
         )
-        data = PlanExecutor(cluster)._run(plan)
-        counts = {r["A"]: r["N"] for r in data.all_rows()}
+        data = ColumnarExecutor(cluster)._run(plan)
+        counts = {r["A"]: r["N"] for r in rows(data)}
         assert counts == {0: 3, 1: 3, 2: 3, 3: 3}
 
     def test_hash_agg_equivalent(self, cluster):
@@ -151,33 +163,37 @@ class TestAggregation:
         plan = node(
             PhysHashAgg(("A",), self.agg(), GroupByMode.FULL), [repart]
         )
-        data = PlanExecutor(cluster)._run(plan)
-        counts = {r["A"]: r["N"] for r in data.all_rows()}
+        data = ColumnarExecutor(cluster)._run(plan)
+        counts = {r["A"]: r["N"] for r in rows(data)}
         assert counts == {0: 3, 1: 3, 2: 3, 3: 3}
 
     def test_local_then_final_equals_full(self, cluster):
+        an = Schema([Column("A"), Column("N")])
         local = node(
-            PhysHashAgg(("A",), self.agg(), GroupByMode.LOCAL), [scan()]
+            PhysHashAgg(("A",), self.agg(), GroupByMode.LOCAL), [scan()],
+            schema=an,
         )
         merge_aggs = (Aggregate(AggFunc.SUM, ColumnRef("N"), "N"),)
-        repart = node(PhysRepartition(("A",)), [local])
+        repart = node(PhysRepartition(("A",)), [local], schema=an)
         final = node(
-            PhysHashAgg(("A",), merge_aggs, GroupByMode.FINAL), [repart]
+            PhysHashAgg(("A",), merge_aggs, GroupByMode.FINAL), [repart],
+            schema=an,
         )
-        data = PlanExecutor(cluster)._run(final)
-        counts = {r["A"]: r["N"] for r in data.all_rows()}
+        data = ColumnarExecutor(cluster)._run(final)
+        counts = {r["A"]: r["N"] for r in rows(data)}
         assert counts == {0: 3, 1: 3, 2: 3, 3: 3}
 
     def test_scalar_aggregate_needs_serial(self, cluster):
         bad = node(PhysHashAgg((), self.agg(), GroupByMode.FULL), [scan()])
-        with pytest.raises(ExecutionError):
-            PlanExecutor(cluster)._run(bad)
+        with pytest.raises(ExecutionError,
+                           match="scalar aggregate input spread"):
+            ColumnarExecutor(cluster)._run(bad)
         good = node(
             PhysHashAgg((), self.agg(), GroupByMode.FULL),
             [node(PhysMerge(), [scan()])],
         )
-        data = PlanExecutor(cluster)._run(good)
-        assert data.all_rows() == [{"N": 12}]
+        data = ColumnarExecutor(cluster)._run(good)
+        assert rows(data) == [{"N": 12}]
 
 
 class TestJoins:
@@ -209,8 +225,8 @@ class TestJoins:
             schema=self.joined_schema(),
             props=PhysicalProps(),
         )
-        with pytest.raises(ExecutionError):
-            PlanExecutor(join_cluster)._run(bad)
+        with pytest.raises(ExecutionError, match="not co-located"):
+            ColumnarExecutor(join_cluster)._run(bad)
 
     def test_partitioned_hash_join(self, join_cluster):
         left = node(PhysRepartition(("A",)), [self.left_scan()],
@@ -223,9 +239,9 @@ class TestJoins:
             schema=self.joined_schema(),
             props=PhysicalProps(Partitioning.hashed({"A"})),
         )
-        data = PlanExecutor(join_cluster)._run(plan)
+        data = ColumnarExecutor(join_cluster)._run(plan)
         assert data.total_rows() == 6
-        assert all(r["A"] == r["K"] for r in data.all_rows())
+        assert all(r["A"] == r["K"] for r in rows(data))
 
     def test_merge_join_matches_hash_join(self, join_cluster):
         def sorted_side(base, cols, schema):
@@ -243,51 +259,35 @@ class TestJoins:
             props=PhysicalProps(Partitioning.hashed({"A"}),
                                 SortOrder.of("A")),
         )
-        data = PlanExecutor(join_cluster)._run(plan)
-        rows = {(r["A"], r["B"], r["V"]) for r in data.all_rows()}
-        assert len(rows) == 6
+        data = ColumnarExecutor(join_cluster)._run(plan)
+        joined = {(r["A"], r["B"], r["V"]) for r in rows(data)}
+        assert len(joined) == 6
 
 
 class TestSpoolAndOutput:
     def test_spool_executes_child_once(self, cluster):
         spool = node(PhysSpool(), [scan()])
-        root = node(PhysMerge(), [spool])
-        ex = PlanExecutor(cluster)
-        ex._run(root)
-        first_reads = ex.metrics.spool_reads
-        # Reference the same spool twice in one plan.
-        root2 = PhysicalPlan(
-            op=PhysMerge(), children=(spool,), schema=AB,
-            props=PhysicalProps(Partitioning.serial()),
-        )
-        ex2 = PlanExecutor(cluster)
-        both = PhysicalPlan(
-            op=PhysOutput("x"), children=(node(PhysMerge(), [spool]),),
-            schema=AB, props=PhysicalProps(),
-        )
-        del root2, both  # simpler: count on a two-consumer plan below
-        left = node(PhysMerge(), [spool])
-        right = node(PhysMerge(), [spool])
-        from repro.plan.physical import PhysSequence
-
+        ex = ColumnarExecutor(cluster)
+        ex._run(node(PhysMerge(), [spool]))
+        assert ex.metrics.spool_reads == 1
+        # Two consumers of the same spool in one plan.
         seq = PhysicalPlan(
             op=PhysSequence(2),
             children=(
-                node(PhysOutput("a"), [left]),
-                node(PhysOutput("b"), [right]),
+                node(PhysOutput("a"), [node(PhysMerge(), [spool])]),
+                node(PhysOutput("b"), [node(PhysMerge(), [spool])]),
             ),
             schema=Schema(()),
             props=PhysicalProps(),
         )
-        ex3 = PlanExecutor(cluster)
-        ex3.execute(seq)
-        assert ex3.metrics.spool_reads == 2
-        assert ex3.metrics.rows_extracted == 12  # child ran once
-        assert first_reads == 1
+        ex = ColumnarExecutor(cluster)
+        ex.execute(seq)
+        assert ex.metrics.spool_reads == 2
+        assert ex.metrics.rows_extracted == 12  # child ran once
 
     def test_output_written_to_cluster(self, cluster):
         plan = node(PhysOutput("result"), [scan()])
-        outputs = PlanExecutor(cluster).execute(plan)
+        outputs = ColumnarExecutor(cluster).execute(plan)
         assert outputs["result"].total_rows() == 12
 
     def test_validation_can_be_disabled(self, cluster):
@@ -298,37 +298,42 @@ class TestSpoolAndOutput:
         )
         # With validation off the runtime produces (wrong) output
         # instead of raising — useful for perf experiments only.
-        data = PlanExecutor(cluster, validate=False)._run(bad)
+        data = ColumnarExecutor(cluster, validate=False)._run(bad)
         assert data.total_rows() >= 4
 
 
 class TestDatasetValidation:
+    @staticmethod
+    def columnar(partitions, props):
+        return from_row_dataset(Dataset(AB, partitions, props))
+
     def test_detects_misclaimed_hash(self):
-        data = Dataset(
-            AB,
+        data = self.columnar(
             [[{"A": 1, "B": 0}], [{"A": 1, "B": 1}]],
             PhysicalProps(Partitioning.hashed({"A"})),
         )
-        assert data.validate_layout() is not None
+        assert "hash(A)" in data.validate_layout()
 
     def test_detects_misclaimed_sort(self):
-        data = Dataset(
-            AB,
+        data = self.columnar(
             [[{"A": 2, "B": 0}, {"A": 1, "B": 0}]],
             PhysicalProps(Partitioning.random(), SortOrder.of("A")),
         )
         assert "sort" in data.validate_layout()
 
     def test_detects_misclaimed_serial(self):
-        data = Dataset(
-            AB,
+        data = self.columnar(
             [[{"A": 1, "B": 0}], [{"A": 2, "B": 0}]],
             PhysicalProps(Partitioning.serial()),
         )
         assert "serial" in data.validate_layout()
 
-    def test_hash_partition_index_deterministic(self):
-        row = {"A": 3, "B": 9}
-        assert hash_partition_index(row, ("A",), 5) == hash_partition_index(
-            row, ("A",), 5
+    def test_operator_output_is_validated(self, cluster):
+        # A Repartition whose node claims the wrong hash columns: the
+        # per-operator layout check must reject its output.
+        bad = PhysicalPlan(
+            op=PhysRepartition(("A",)), children=(scan(),), schema=AB,
+            props=PhysicalProps(Partitioning.hashed({"B"})),
         )
+        with pytest.raises(ExecutionError, match="violating its claimed"):
+            ColumnarExecutor(cluster)._run(bad)

@@ -9,7 +9,7 @@ naive single-node evaluator.  This is experiment E9 of DESIGN.md.
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -22,10 +22,22 @@ from tests.test_propagation import (
     INDEPENDENT_SCRIPT,
 )
 
+#: Unary minus in predicates and projections: ``-<number>`` folds into
+#: a negative literal, ``-expr`` lowers to ``0 - expr``.
+UNARY_MINUS_SCRIPT = """
+R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
+R = SELECT A, -B AS NB, D - -1 AS D1 FROM R0 WHERE D > -3 AND -C < -2;
+R1 = SELECT A, Sum(NB) AS S FROM R GROUP BY A;
+R2 = SELECT A, Sum(D1) AS S FROM R GROUP BY A;
+OUTPUT R1 TO "neg1.out";
+OUTPUT R2 TO "neg2.out";
+"""
+
 ALL_SCRIPTS = dict(PAPER_SCRIPTS)
 ALL_SCRIPTS["cross_join"] = CROSS_JOIN_SCRIPT
 ALL_SCRIPTS["independent"] = INDEPENDENT_SCRIPT
 ALL_SCRIPTS["fig3c"] = FIG3C_SCRIPT
+ALL_SCRIPTS["unary_minus"] = UNARY_MINUS_SCRIPT
 
 MACHINES = 4
 
@@ -37,7 +49,7 @@ def run_script(text, catalog, exploit_cse):
     cluster = Cluster(machines=MACHINES)
     for path, rows in files.items():
         cluster.load_file(path, rows)
-    executor = PlanExecutor(cluster, validate=True)
+    executor = ColumnarExecutor(cluster, validate=True)
     outputs = executor.execute(result.plan)
     expected = NaiveEvaluator(files).run(compile_script(text, catalog))
     return outputs, expected, executor.metrics, result

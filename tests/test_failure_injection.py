@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, ExecutionError, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor, ExecutionError
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
 from repro.plan.physical import (
@@ -39,7 +39,7 @@ def execute(plan, abcd_catalog):
     cluster = Cluster(machines=MACHINES)
     for path, rows in generate_for_catalog(abcd_catalog, seed=23).items():
         cluster.load_file(path, rows)
-    return PlanExecutor(cluster, validate=True).execute(plan)
+    return ColumnarExecutor(cluster, validate=True).execute(plan)
 
 
 def rewrite(plan: PhysicalPlan, transform) -> PhysicalPlan:
@@ -133,7 +133,7 @@ class TestCorruptions:
         cluster = Cluster(machines=MACHINES)
         for path, rows in generate_for_catalog(abcd_catalog, seed=23).items():
             cluster.load_file(path, rows)
-        executor = PlanExecutor(cluster, validate=False)
+        executor = ColumnarExecutor(cluster, validate=False)
         outputs = executor.execute(bad)  # silently wrong results
         good = execute(optimized.plan, abcd_catalog)
         assert any(
@@ -146,7 +146,7 @@ class TestSpoolIntegrity:
         cluster = Cluster(machines=MACHINES)
         for path, rows in generate_for_catalog(abcd_catalog, seed=23).items():
             cluster.load_file(path, rows)
-        executor = PlanExecutor(cluster, validate=True)
+        executor = ColumnarExecutor(cluster, validate=True)
         executor.execute(optimized.plan)
         spools = optimized.plan.find_all(PhysSpool)
         assert len(spools) == 1

@@ -101,15 +101,14 @@ class TestFingerprints:
 
 
 class TestFragmentRows:
-    @pytest.mark.parametrize("backend", ["row", "columnar"])
-    def test_sequential_matches_scheduler(self, abcd_catalog, backend):
+    def test_sequential_matches_scheduler(self, abcd_catalog):
         scenario = SKEW_SCENARIOS["filter_selectivity_skew"]
         catalog = scenario.build_catalog()
         files = scenario.generate_files()
         runs = {
             workers: execute_script(
                 scenario.script, catalog, _config(), workers=workers,
-                files=files, backend=backend,
+                files=files,
             )
             for workers in (0, 1, 4)
         }

@@ -5,7 +5,7 @@ The contract of learned statistics is that they may change *plans*, not
 the large generated scripts LS1/LS2 and the skewed feedback scenarios
 are executed across the full matrix of
 
-    feedback on/off x workers 1/4 x row/columnar backend
+    feedback on/off x workers 1/4
 
 with feedback-enabled services executing twice (the second round serves
 whatever plan the gate converged to).  Every run's outputs must be
@@ -33,7 +33,6 @@ CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS_SCRIPTS = sorted(CORPUS_DIR.glob("*.scope"))
 MACHINES = 4
 WORKER_COUNTS = (1, 4)
-BACKENDS = ("row", "columnar")
 
 
 def _config() -> OptimizerConfig:
@@ -64,25 +63,21 @@ def assert_feedback_invariant(text: str, catalog, files) -> None:
                 f"{label}: output {path} diverged"
             )
 
-    for backend in BACKENDS:
-        for workers in WORKER_COUNTS:
-            plain = QueryService(catalog, _config())
+    for workers in WORKER_COUNTS:
+        plain = QueryService(catalog, _config())
+        check(
+            plain.execute(text, workers=workers, files=files),
+            f"feedback=off workers={workers}",
+        )
+        fed = QueryService(
+            catalog, _config(),
+            feedback=FeedbackConfig(min_observations=1),
+        )
+        for round_no in range(2):
             check(
-                plain.execute(text, workers=workers, files=files,
-                              backend=backend),
-                f"feedback=off workers={workers} backend={backend}",
+                fed.execute(text, workers=workers, files=files),
+                f"feedback=on round={round_no} workers={workers}",
             )
-            fed = QueryService(
-                catalog, _config(),
-                feedback=FeedbackConfig(min_observations=1),
-            )
-            for round_no in range(2):
-                check(
-                    fed.execute(text, workers=workers, files=files,
-                                backend=backend),
-                    f"feedback=on round={round_no} workers={workers} "
-                    f"backend={backend}",
-                )
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -86,7 +86,7 @@ class TestExecution:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        executor = PlanExecutor(cluster, validate=True)
+        executor = ColumnarExecutor(cluster, validate=True)
         outputs = executor.execute(result.plan)
         expected = NaiveEvaluator(files).run(compile_script(script, catalog))
         return result, outputs, expected

@@ -111,6 +111,17 @@ class TestParser:
         assert stmt.source == "R"
         assert stmt.path == "result.out"
 
+    def test_unary_minus(self):
+        query = parse(
+            "R = SELECT A FROM X WHERE D > -3 AND B < -C * 2;"
+        ).statements[0].queries[0]
+        assert query.where == EBin(
+            "AND",
+            EBin(">", ERef("D"), ELit(-3)),
+            EBin("<", ERef("B"),
+                 EBin("*", EBin("-", ELit(0), ERef("C")), ELit(2))),
+        )
+
     def test_where_having(self):
         script = parse(
             "R = SELECT A, Count(*) AS C FROM X WHERE D > 3 "

@@ -11,7 +11,7 @@ from repro.cse.pipeline import (
     optimize_local_best,
     optimize_with_cse,
 )
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -70,7 +70,7 @@ class TestCorrectness:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(local.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(local.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(S1, abcd_catalog)
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -86,7 +86,7 @@ class TestExecution:
         cluster = Cluster(machines=3)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(THREE_WAY, star_catalog)
         )
@@ -107,7 +107,7 @@ class TestExecution:
         cluster = Cluster(machines=3)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(compile_script(text, star_catalog))
         for path, want in expected.items():
             assert outputs[path].sorted_rows() == want

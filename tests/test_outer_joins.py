@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -144,7 +144,7 @@ class TestOptimizedExecution:
         cluster = Cluster(machines=3)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(LEFT_JOIN_SCRIPT, join_catalog)
         )
@@ -162,7 +162,7 @@ class TestOptimizedExecution:
         cluster = Cluster(machines=3)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(text, join_catalog)
         )
@@ -203,7 +203,7 @@ class TestRewriteSafety:
         cluster = Cluster(machines=3)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(text, join_catalog)
         )

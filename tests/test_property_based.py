@@ -22,8 +22,8 @@ from repro.api import optimize_script
 from repro.cse.fingerprint import compute_fingerprints, structurally_equal
 from repro.exec import (
     Cluster,
+    ColumnarExecutor,
     FaultInjection,
-    PlanExecutor,
     RetryPolicy,
     TaskScheduler,
 )
@@ -240,7 +240,7 @@ def test_random_scripts_execute_correctly(script, seed):
         result = optimize_script(script, catalog, cfg, exploit_cse=exploit_cse)
         cluster = Cluster(machines=3)
         cluster.load_file("test.log", files["test.log"])
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         for path, want in expected.items():
             assert outputs[path].sorted_rows() == want, (
                 f"cse={exploit_cse} differs at {path}\n{script}"
@@ -286,7 +286,7 @@ def test_random_scripts_scheduler_equals_sequential(script, workers,
         cluster.load_file("test.log", files["test.log"])
         return cluster
 
-    sequential = PlanExecutor(load(), validate=True).execute(result.plan)
+    sequential = ColumnarExecutor(load(), validate=True).execute(result.plan)
     scheduler = TaskScheduler(
         load(),
         workers=workers,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -135,7 +135,7 @@ class TestSemanticNoOp:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         for path, want in expected.items():
             assert outputs[path].sorted_rows() == want
 

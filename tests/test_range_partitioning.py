@@ -3,7 +3,8 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
+from repro.exec.columnar import from_row_dataset
 from repro.exec.datasets import Dataset
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
@@ -83,7 +84,7 @@ class TestRuntime:
         schema = Schema([Column("A"), Column("B")])
         cluster = Cluster(machines=4)
         cluster.load_file("in", cluster_rows)
-        executor = PlanExecutor(cluster)
+        executor = ColumnarExecutor(cluster)
         scan = PhysicalPlan(
             op=__import__(
                 "repro.plan.physical", fromlist=["PhysExtract"]
@@ -126,17 +127,17 @@ class TestRuntime:
         )
         data = executor._run(plan)
         assert data.validate_layout() is None
-        stream = [r for part in data.partitions for r in part]
+        stream = data.to_row_dataset().all_rows()
         keys = [(r["A"], r["B"]) for r in stream]
         assert keys == sorted(keys)
 
     def test_validation_detects_broken_range_claim(self):
         schema = Schema([Column("A")])
-        data = Dataset(
+        data = from_row_dataset(Dataset(
             schema,
             [[{"A": 5}], [{"A": 1}]],  # descending ranges
             PhysicalProps(Partitioning.ranged(("A",))),
-        )
+        ))
         assert "range" in data.validate_layout()
 
 
@@ -148,7 +149,8 @@ class TestEndToEnd:
         cluster = Cluster(machines=machines)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(
+            result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(SORTED_SCRIPT, catalog)
         )

@@ -150,7 +150,7 @@ class TestCompensation:
         layout serves both, so whichever is enforced, the other consumer
         must re-shuffle the spooled result (and the plan is still
         correct and cheaper than no sharing)."""
-        from repro.exec import Cluster, PlanExecutor
+        from repro.exec import Cluster, ColumnarExecutor
         from repro.naive import NaiveEvaluator
         from repro.plan.physical import PhysRepartition, PhysSpool
         from repro.scope.compiler import compile_script
@@ -180,7 +180,7 @@ class TestCompensation:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(text, abcd_catalog)
         )

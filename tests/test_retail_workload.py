@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -103,7 +103,7 @@ class TestCorrectness:
         cluster = Cluster(machines=MACHINES)
         for path, rows in data.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(data).run(
             compile_script(REPORT_SCRIPT, catalog)
         )
@@ -117,7 +117,7 @@ class TestCorrectness:
         cluster = Cluster(machines=MACHINES)
         for path, rows in data.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         segments = [
             row["Segment"]
             for part in outputs["by_segment.out"].partitions

@@ -2,7 +2,7 @@
 
 Every regression-corpus script and every paper script (S1–S4, LS1, LS2)
 is optimized in both modes and executed twice — once on the sequential
-recursive :class:`PlanExecutor` and once on the task-parallel
+recursive :class:`ColumnarExecutor` and once on the task-parallel
 :class:`TaskScheduler` — at worker counts 1 and 4.  The two executions
 must be *byte-identical* on canonically sorted outputs, the scheduler
 must launch every vertex (spool producers in particular) exactly once,
@@ -19,7 +19,7 @@ import pytest
 from repro.api import optimize_script
 from repro.exec import (
     Cluster,
-    PlanExecutor,
+    ColumnarExecutor,
     TaskScheduler,
     build_stage_graph,
 )
@@ -71,7 +71,8 @@ def _make_cluster(files, machines=MACHINES):
 
 def run_differential(plan, files, workers, machines=MACHINES):
     """Execute ``plan`` both ways; return (seq, sched outputs, metrics)."""
-    sequential = PlanExecutor(_make_cluster(files, machines), validate=True)
+    sequential = ColumnarExecutor(_make_cluster(files, machines),
+                                  validate=True)
     seq_outputs = sequential.execute(plan)
     scheduler = TaskScheduler(
         _make_cluster(files, machines), workers=workers, validate=True

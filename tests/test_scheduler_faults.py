@@ -18,10 +18,10 @@ import pytest
 from repro.api import optimize_script
 from repro.exec import (
     Cluster,
+    ColumnarExecutor,
     ExecutionError,
     FaultInjection,
     InjectedFault,
-    PlanExecutor,
     RetryPolicy,
     TaskScheduler,
     VertexFailedError,
@@ -125,8 +125,8 @@ class TestInjectedFaultsConverge:
         assert len(retries) == 1
 
     def test_sequential_executor_is_never_injected(self, s1_plan, s1_files):
-        """Injection lives in the scheduler; PlanExecutor has no hook."""
-        executor = PlanExecutor(_make_cluster(s1_files), validate=True)
+        """Injection lives in the scheduler; ColumnarExecutor has no hook."""
+        executor = ColumnarExecutor(_make_cluster(s1_files), validate=True)
         outputs = executor.execute(s1_plan)
         assert outputs
 

@@ -8,8 +8,8 @@ Two claims, both load-bearing for the SQL frontend's design:
    strategy leaves no SQL-shaped residue in the DAG.
 2. A CTE referenced N >= 2 times compiles to a shared subexpression
    that is spooled exactly once at execution time (``launches == 1``),
-   on both execution backends and both scheduler runtimes, with
-   ``serves`` attributing every consumer.
+   on both scheduler runtimes, with ``serves`` attributing every
+   consumer, and the scheduled run matches the naive oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import pytest
 
 from repro.api import execute_script, optimize_script
 from repro.cse.merge import script_fingerprint
+from repro.frontend import compile_text
+from repro.naive import NaiveEvaluator
 from repro.optimizer.explain import explain_normalized
 from repro.service import QueryService
 from repro.workloads.starjoin import (
@@ -81,12 +83,10 @@ class TestScopeTwins:
 
 
 class TestCteSharingMatrix:
-    """CTE spooled once across backends and runtimes."""
+    """CTE spooled once on both runtimes."""
 
-    @pytest.mark.parametrize("backend", ["row", "columnar"])
     @pytest.mark.parametrize("runtime", ["thread", "process"])
-    def test_shared_spool_launches_once(self, starjoin, backend, runtime,
-                                        tmp_path):
+    def test_shared_spool_launches_once(self, starjoin, runtime, tmp_path):
         catalog, data = starjoin
         service = QueryService(catalog)
         kwargs = {}
@@ -94,7 +94,7 @@ class TestCteSharingMatrix:
             kwargs["spill_dir"] = str(tmp_path)
         run = service.execute(
             STARJOIN_QUERIES["q01_item_channels"], workers=4, files=data,
-            backend=backend, runtime=runtime, **kwargs,
+            runtime=runtime, **kwargs,
         )
         spools = [v for v in run.stage_graph.vertices if v.is_spool]
         assert spools, "CTE consumed by two branches must be spooled"
@@ -102,21 +102,36 @@ class TestCteSharingMatrix:
             stats = run.metrics.vertices[vertex.name]
             assert stats.launches == 1, (
                 f"spool {vertex.name} launched {stats.launches} times "
-                f"on backend={backend} runtime={runtime}"
+                f"on runtime={runtime}"
             )
 
-    @pytest.mark.parametrize("backend", ["row", "columnar"])
-    def test_backends_agree_on_outputs(self, starjoin, backend):
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_outputs_match_oracle(self, starjoin, workers):
         catalog, data = starjoin
-        service = QueryService(catalog)
-        run = service.execute(
-            STARJOIN_QUERIES["q09_big_spenders"], workers=4, files=data,
-            backend=backend,
-        )
-        sequential = execute_script(
-            STARJOIN_QUERIES["q09_big_spenders"], catalog, files=data
-        )
-        assert _sorted_outputs(run) == _sorted_outputs(sequential)
+        text = STARJOIN_QUERIES["q09_big_spenders"]
+        run = QueryService(catalog).execute(text, workers=workers,
+                                            files=data)
+        expected = NaiveEvaluator(data).run(compile_text(text, catalog))
+        assert _sorted_outputs(run) == expected
+
+
+class TestUnaryMinus:
+    """Negative literals and ``-expr`` execute as the oracle computes."""
+
+    TEXT = (
+        "SELECT CustSk, -Qty AS neg, Net - -1 AS net1 FROM store_sales "
+        "WHERE -1 < 0 AND Qty > -3 AND -Qty < -2;"
+    )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_matches_oracle(self, starjoin, workers):
+        catalog, data = starjoin
+        run = execute_script(self.TEXT, catalog, files=data,
+                             workers=workers)
+        expected = NaiveEvaluator(data).run(compile_text(self.TEXT, catalog))
+        assert _sorted_outputs(run) == expected
+        (rows,) = expected.values()
+        assert rows and all(neg < -2 for _cust, neg, _net in rows)
 
 
 class TestCrossScriptSharing:

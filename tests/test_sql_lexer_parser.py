@@ -124,6 +124,14 @@ class TestParser:
             "+", ERef("a"), EBin("*", ERef("b"), ELit(2))
         )
 
+    def test_unary_minus(self):
+        (core,) = parse_sql(
+            "SELECT -a AS v, 2 - -3 AS w FROM t WHERE -1 < 0;"
+        ).statements[0].body.branches
+        assert core.items[0].expr == EBin("-", ELit(0), ERef("a"))
+        assert core.items[1].expr == EBin("-", ELit(2), ELit(-3))
+        assert core.where == EBin("<", ELit(-1), ELit(0))
+
     def test_union_all(self):
         body = parse_sql(
             "SELECT a FROM t UNION ALL SELECT a FROM u;"
@@ -200,6 +208,7 @@ class TestPrinterRoundTrip:
         "SELECT s FROM c UNION ALL SELECT a FROM c;",
         "SELECT a FROM t ORDER BY a LIMIT 7 INTO 'x.out';",
         "SELECT a FROM t; SELECT b FROM u;",
+        "SELECT -a AS v FROM t WHERE b > -3 AND -1 < 0;",
     ])
     def test_round_trip(self, text):
         first = parse_sql(text)

@@ -54,12 +54,14 @@ def refs():
 
 
 def literals():
-    # Integers and simple strings; the lexer has no escapes and floats
-    # round-trip through repr only for plain decimal spellings.
+    # Integers (negative ones print as a unary minus the parser folds
+    # back into the literal) and simple strings; the lexer has no
+    # escapes and floats round-trip through repr only for plain decimal
+    # spellings.
     return st.builds(
         ELit,
         value=st.one_of(
-            st.integers(min_value=0, max_value=10**6),
+            st.integers(min_value=-10**6, max_value=10**6),
             st.text(alphabet=_IDENT_TAIL + " ", max_size=8),
         ),
     )

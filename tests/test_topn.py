@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, ExecutionError, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor, ExecutionError
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -107,7 +107,7 @@ class TestExecution:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(script, top_catalog)
         )
@@ -186,4 +186,4 @@ class TestRuntimeGuards:
             ),
         )
         with pytest.raises(ExecutionError):
-            PlanExecutor(cluster)._run(bad)
+            ColumnarExecutor(cluster)._run(bad)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import optimize_script
-from repro.exec import Cluster, PlanExecutor
+from repro.exec import Cluster, ColumnarExecutor
 from repro.naive import NaiveEvaluator
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
@@ -41,7 +41,7 @@ class TestUnionAll:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(UNION_SCRIPT, abcd_catalog)
         )
@@ -89,7 +89,7 @@ class TestBroadcastJoin:
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        executor = PlanExecutor(cluster, validate=True)
+        executor = ColumnarExecutor(cluster, validate=True)
         outputs = executor.execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(BROADCAST_SCRIPT, star_catalog)
@@ -184,7 +184,7 @@ OUTPUT Agg TO "o";
         cluster = Cluster(machines=4)
         for path, rows in files.items():
             cluster.load_file(path, rows)
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(self.SCRIPT, reversed_star_catalog)
         )

@@ -177,7 +177,7 @@ OUTPUT X5 TO "out1.res" ORDER BY A;'''
     @pytest.mark.parametrize("exploit_cse", [False, True])
     def test_fuzzer_counterexample_executes(self, exploit_cse):
         from repro.api import optimize_script
-        from repro.exec import Cluster, PlanExecutor
+        from repro.exec import Cluster, ColumnarExecutor
         from repro.naive import NaiveEvaluator
         from repro.optimizer.cost import CostParams
         from repro.plan.columns import ColumnType
@@ -213,7 +213,7 @@ OUTPUT X5 TO "out1.res" ORDER BY A;'''
                 assert set(cols) <= child_names
         cluster = Cluster(machines=3)
         cluster.load_file("test.log", files["test.log"])
-        outputs = PlanExecutor(cluster, validate=True).execute(result.plan)
+        outputs = ColumnarExecutor(cluster, validate=True).execute(result.plan)
         expected = NaiveEvaluator(files).run(
             compile_script(self.SCRIPT, catalog)
         )
